@@ -124,19 +124,20 @@ std::vector<BenchResult> run_codec_benches(std::size_t iters) {
     results.push_back(r);
   }
 
-  // Full-frame decode into a persistent inbox (receive path: the rows
-  // vector keeps its capacity across frames).
+  // Full-frame receive into a persistent inbox (the rows vector keeps its
+  // capacity across frames): frame extraction with its header and CRC
+  // checks, then the payload parse — the same work the receive path does,
+  // and the mirror of encode_full_sg, which includes the CRC.
   {
     std::vector<std::uint8_t> wire;
     net::encode_boundary(full, wire);
-    const std::span<const std::uint8_t> payload(
-        wire.data() + net::kFrameHeaderBytes,
-        wire.size() - net::kFrameHeaderBytes);
     ode::BoundaryMessage inbox;
     BenchResult r;
-    r.name = "decode_full";
+    r.name = "decode_full_crc";
     r.ns_per_frame = time_loop(iters, [&] {
-      if (!net::decode_boundary(payload, inbox))
+      net::FrameView view;
+      if (net::try_extract_frame(wire, view) != net::DecodeStatus::kOk ||
+          !net::decode_boundary(view.payload, inbox))
         std::abort();  // layout bug — never silently time garbage
     });
     r.bytes_per_frame = wire.size();

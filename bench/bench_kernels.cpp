@@ -310,21 +310,24 @@ int compare_against_baseline(const std::string& baseline_path,
 /// oversubscription cap; on a single-core host the pool degenerates to
 /// inline chunked execution, which is exactly what the engines run
 /// there). The block is converged first, so each forced sweep performs
-/// the same chord-Newton re-solve of every step — a stable, repeatable
-/// workload with zero steady-state allocations.
+/// the same re-solve of every step (one block Newton solve per step, or
+/// in scalar mode one converged scalar check per component and step) — a
+/// stable, repeatable workload with zero steady-state allocations.
 struct SweepBenchStats {
   double seconds = 0.0;
   std::uint64_t allocations = 0;
   std::size_t workers = 0;
 };
 
-SweepBenchStats run_waveform_sweeps(const KernelProblem& prob,
-                                    std::size_t chunks, std::size_t iters) {
+SweepBenchStats run_waveform_sweeps(
+    const KernelProblem& prob, std::size_t chunks, std::size_t iters,
+    ode::LocalSolveMode mode = ode::LocalSolveMode::kBlockNewton) {
   ode::WaveformBlockConfig config;
   config.first = 0;
   config.count = prob.system.dimension();
   config.num_steps = prob.num_steps;
   config.t_end = 1.0;
+  config.mode = mode;
   config.intra_chunks = chunks;
   ode::WaveformBlock block(prob.system, config);
   SweepBenchStats stats;
@@ -547,6 +550,19 @@ int main(int argc, char** argv) {
       r.ns_per_step = serial.seconds * 1e9 / static_cast<double>(iters);
       r.allocs_per_step =
           static_cast<double>(serial.allocations) / static_cast<double>(iters);
+      results.push_back(r);
+    }
+    // The same forced full sweep in scalar Jacobi mode (the paper's
+    // literal Algorithm 1 loop, which the Fig. 5 benches run): one
+    // scalar_euler_row call per row, one converged check per step.
+    {
+      const auto scalar = run_waveform_sweeps(
+          prob, 1, iters, ode::LocalSolveMode::kScalarJacobi);
+      BenchResult r;
+      r.name = "waveform_scalar_full_sweep";
+      r.ns_per_step = scalar.seconds * 1e9 / static_cast<double>(iters);
+      r.allocs_per_step =
+          static_cast<double>(scalar.allocations) / static_cast<double>(iters);
       results.push_back(r);
     }
     for (const std::size_t chunks : {std::size_t{2}, std::size_t{4}}) {

@@ -16,6 +16,9 @@
 #   scripts/ci.sh lint       # aiac_lint (project invariants) + clang-tidy
 #                            # over compile_commands.json, or a -Werror
 #                            # build when clang-tidy is unavailable
+#   scripts/ci.sh perfbench-smoke  # traced sim-fig5 run of the end-to-end
+#                                  # benchmark; fails if any solve misses
+#                                  # the sequential reference
 #   scripts/ci.sh bench-smoke  # quick kernel bench vs the checked-in
 #                              # BENCH_kernels.json baseline; fails on
 #                              # allocation-count or speedup regressions
@@ -106,6 +109,16 @@ lint() {
   echo "==> lint: clean"
 }
 
+perfbench_smoke() {
+  echo "==> perfbench-smoke: traced sim-fig5 run, every solve checked"
+  # --trace 1 alternates untraced solves, which run the fused scalar row
+  # kernel, with solves wrapped in the benchmark's forwarding OdeSystem
+  # probe, which run the per-component default path. Every solve is
+  # checked against the sequential reference; run.py exits non-zero on
+  # any failure.
+  python3 perfbench/run.py --workload sim-fig5 --seed 1 --seconds 3 --trace 1
+}
+
 bench_smoke() {
   echo "==> bench-smoke: quick kernel bench vs checked-in baseline"
   # Delegates to scripts/bench.sh --check --quick. Hardware-normalized
@@ -135,10 +148,11 @@ case "$stage" in
   asan) asan ;;
   ubsan) ubsan ;;
   lint) lint ;;
+  perfbench-smoke) perfbench_smoke ;;
   bench-smoke) bench_smoke ;;
   bench-comms) bench_comms ;;
-  all) tier1; tsan; asan; ubsan; lint; bench_smoke; bench_comms ;;
-  *) echo "unknown stage: $stage (tier1|tsan|asan|ubsan|lint|bench-smoke|bench-comms|all)" >&2
+  all) tier1; tsan; asan; ubsan; lint; perfbench_smoke; bench_smoke; bench_comms ;;
+  *) echo "unknown stage: $stage (tier1|tsan|asan|ubsan|lint|perfbench-smoke|bench-smoke|bench-comms|all)" >&2
      exit 2 ;;
 esac
 echo "==> ci: all requested stages green"

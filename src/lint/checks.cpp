@@ -194,9 +194,13 @@ std::vector<std::string> default_hot_registry() {
       "ProcessorCore::ingest_boundary",
       "ProcessorCore::fill_boundary",
       "ProcessorCore::emit_boundaries",
-      // Allocation-free Newton workspace solves (PR 4).
+      // Allocation-free Newton workspace solves and the scalar Jacobi row
+      // sweep (the default per-component path and the fused Brusselator
+      // override).
       "scalar_implicit_euler_solve",
       "block_implicit_euler_step",
+      "OdeSystem::scalar_euler_row",
+      "Brusselator::scalar_euler_row",
       // Sharded iterate + intra-processor worker pool (PR 7). The pool
       // entries are listed explicitly because `run` is on the generic
       // callee stop-list above.

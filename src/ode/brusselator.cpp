@@ -4,6 +4,8 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "ode/newton.hpp"
+
 namespace aiac::ode {
 
 Brusselator::Brusselator(Params params) : params_(params) {
@@ -226,6 +228,65 @@ void Brusselator::jacobian_band_range(std::size_t first, std::size_t count,
     band[3] = u * u;                        // v_i
     band[4] = cr;                           // u_{i+1}
   }
+}
+
+ScalarRowResult Brusselator::scalar_euler_row(
+    std::size_t j, double dt, std::span<const double> old_rows,
+    std::span<double> new_row, const NewtonOptions& opts,
+    std::span<double> /*window*/) const {
+  const std::size_t pts = new_row.size();
+  if (j >= dimension())
+    throw std::out_of_range("Brusselator::scalar_euler_row");
+  if (pts == 0 || old_rows.size() != 5 * pts)
+    throw std::invalid_argument("Brusselator::scalar_euler_row: size");
+  // The component, its parity and its Dirichlet ends are fixed for the
+  // whole row, so they are resolved once here: a neighbor row is read at
+  // stride 1, a boundary constant at stride 0. Only the center value
+  // varies inside a step's Newton iteration; the expressions below are
+  // rhs_component / rhs_partial(j, j) verbatim, so the arithmetic (and
+  // the result) is bitwise that of the default path.
+  struct Column {
+    const double* at;
+    std::size_t stride;
+    double operator()(std::size_t step) const { return at[step * stride]; }
+  };
+  const std::size_t i = j / 2;
+  const bool is_u = (j % 2) == 0;
+  const double& boundary = is_u ? params_.u_boundary : params_.v_boundary;
+  const double* rows = old_rows.data();
+  const Column left =
+      i == 0 ? Column{&boundary, 0} : Column{rows, 1};  // y_{j-2}
+  const Column right = i + 1 == params_.grid_points
+                           ? Column{&boundary, 0}
+                           : Column{rows + 4 * pts, 1};  // y_{j+2}
+  const std::span<const double> center = old_rows.subspan(2 * pts, pts);
+  const double c = diffusion_;
+  if (is_u) {
+    const Column v_row{rows + 3 * pts, 1};  // v_i
+    return scalar_newton_row(
+        center, new_row, dt, opts, [=](std::size_t step, double) {
+          const double v = v_row(step);
+          const double u_left = left(step);
+          const double u_right = right(step);
+          return [=](double u) {
+            return ScalarEval{
+                1.0 + u * u * v - 4.0 * u + c * (u_left - 2.0 * u + u_right),
+                2.0 * u * v - 4.0 - 2.0 * c};
+          };
+        });
+  }
+  const Column u_row{rows + pts, 1};  // u_i
+  return scalar_newton_row(
+      center, new_row, dt, opts, [=](std::size_t step, double) {
+        const double u = u_row(step);
+        const double v_left = left(step);
+        const double v_right = right(step);
+        return [=](double v) {
+          return ScalarEval{
+              3.0 * u - u * u * v + c * (v_left - 2.0 * v + v_right),
+              -u * u - 2.0 * c};
+        };
+      });
 }
 
 void Brusselator::initial_state(std::span<double> y) const {

@@ -52,6 +52,11 @@ class Brusselator final : public OdeSystem {
   void jacobian_band_range(std::size_t first, std::size_t count, double t,
                            std::span<const double> y_ext,
                            std::span<double> band_rows) const override;
+  ScalarRowResult scalar_euler_row(std::size_t j, double dt,
+                                   std::span<const double> old_rows,
+                                   std::span<double> new_row,
+                                   const NewtonOptions& opts,
+                                   std::span<double> window) const override;
   void initial_state(std::span<double> y) const override;
 
  private:

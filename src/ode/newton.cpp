@@ -9,40 +9,6 @@
 
 namespace aiac::ode {
 
-namespace {
-
-/// Scalar Newton core operating on a caller-owned mutable window copy.
-ScalarSolveResult scalar_solve_core(const OdeSystem& system, std::size_t j,
-                                    double y_prev, std::span<double> w,
-                                    double t_next, double dt,
-                                    const NewtonOptions& opts) {
-  const std::size_t s = system.stencil_halfwidth();
-  ScalarSolveResult result;
-  result.value = w[s];  // initial guess: frozen iterate's value at t_next
-  for (std::size_t it = 0; it <= opts.max_iterations; ++it) {
-    w[s] = result.value;
-    const double f = system.rhs_component(j, t_next, w);
-    const double g = result.value - y_prev - dt * f;
-    double gp = 1.0 - dt * system.rhs_partial(j, j, t_next, w);
-    if (std::abs(gp) < opts.min_derivative)
-      gp = gp < 0 ? -opts.min_derivative : opts.min_derivative;
-    const double delta = g / gp;
-    if (std::abs(delta) <= opts.tolerance) {
-      // Converged (possibly on the initial check, at zero iterations —
-      // see NewtonOptions::check_cost); apply the final tiny correction.
-      result.value -= delta;
-      result.converged = true;
-      break;
-    }
-    if (it == opts.max_iterations) break;  // budget exhausted
-    result.value -= delta;
-    ++result.iterations;
-  }
-  return result;
-}
-
-}  // namespace
-
 ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
                                               std::size_t j, double y_prev,
                                               std::span<const double> window,
@@ -52,7 +18,8 @@ ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
   if (window.size() != 2 * s + 1)
     throw std::invalid_argument("scalar solve: wrong window size");
   std::vector<double> w(window.begin(), window.end());
-  return scalar_solve_core(system, j, y_prev, w, t_next, dt, opts);
+  return scalar_newton(w[s], y_prev, dt, opts,
+                       window_evaluator(system, j, t_next, w));
 }
 
 ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
@@ -67,8 +34,8 @@ ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
   // assign() reuses the workspace vector's capacity: allocation-free once
   // warm, which is the point of this overload.
   workspace.window.assign(window.begin(), window.end());
-  return scalar_solve_core(system, j, y_prev, workspace.window, t_next, dt,
-                           opts);
+  return scalar_newton(window[s], y_prev, dt, opts,
+                       window_evaluator(system, j, t_next, workspace.window));
 }
 
 namespace {

@@ -17,6 +17,7 @@
 // residual-driven load balancing exploits (paper §2).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -118,6 +119,84 @@ struct ScalarSolveResult {
   std::size_t iterations = 0;
   bool converged = false;
 };
+
+/// f_j and its diagonal partial d f_j / d y_j at one scalar Newton iterate.
+struct ScalarEval {
+  double f = 0.0;
+  double df = 0.0;
+};
+
+/// The one scalar Newton iteration behind every scalar entry point: solves
+/// g(w) = w - y_prev - dt * f_j(w) = 0 starting from `guess`, where
+/// `eval(w)` returns ScalarEval at the iterate w (all other components
+/// frozen inside the evaluator). The convergence test on the Newton update
+/// precedes applying it, so a converged warm start costs one evaluation and
+/// zero iterations (see NewtonOptions::check_cost); the budget allows
+/// max_iterations updates.
+template <typename Eval>
+ScalarSolveResult scalar_newton(double guess, double y_prev, double dt,
+                                const NewtonOptions& opts, Eval&& eval) {
+  ScalarSolveResult result;
+  result.value = guess;
+  for (std::size_t it = 0; it <= opts.max_iterations; ++it) {
+    const ScalarEval e = eval(result.value);
+    const double g = result.value - y_prev - dt * e.f;
+    double gp = 1.0 - dt * e.df;
+    if (std::abs(gp) < opts.min_derivative)
+      gp = gp < 0 ? -opts.min_derivative : opts.min_derivative;
+    const double delta = g / gp;
+    if (std::abs(delta) <= opts.tolerance) {
+      // Converged (possibly on the initial check, at zero iterations);
+      // apply the final tiny correction.
+      result.value -= delta;
+      result.converged = true;
+      break;
+    }
+    if (it == opts.max_iterations) break;  // budget exhausted
+    result.value -= delta;
+    ++result.iterations;
+  }
+  return result;
+}
+
+/// Row driver over scalar_newton: one component's scalar Jacobi sweep over
+/// the time window (the inner `for t` of paper Algorithm 1). For step =
+/// 1 .. new_row.size() - 1 it solves from the warm start old_center[step]
+/// with y_prev = new_row[step - 1], writes new_row[step], and folds the
+/// per-step results. `eval_at(step, t_next)` returns the evaluator of that
+/// step; it reads the frozen neighbors and must not touch new_row.
+template <typename EvalAt>
+ScalarRowResult scalar_newton_row(std::span<const double> old_center,
+                                  std::span<double> new_row, double dt,
+                                  const NewtonOptions& opts,
+                                  EvalAt&& eval_at) {
+  ScalarRowResult row;
+  for (std::size_t step = 1; step < new_row.size(); ++step) {
+    const double t_next = dt * static_cast<double>(step);
+    const double prev = old_center[step];
+    const ScalarSolveResult solve = scalar_newton(
+        prev, new_row[step - 1], dt, opts, eval_at(step, t_next));
+    new_row[step] = solve.value;
+    const double diff = std::abs(solve.value - prev);
+    if (diff > row.residual) row.residual = diff;
+    row.iterations += solve.iterations;
+    row.all_converged &= solve.converged;
+  }
+  return row;
+}
+
+/// Evaluator over a materialized stencil window: writes the iterate into
+/// the center slot and calls the per-component virtuals. This is the
+/// reference arithmetic every fused OdeSystem::scalar_euler_row override
+/// must reproduce bit for bit.
+inline auto window_evaluator(const OdeSystem& system, std::size_t j,
+                             double t, std::span<double> window) {
+  return [&system, j, t, window](double w) {
+    window[window.size() / 2] = w;
+    return ScalarEval{system.rhs_component(j, t, window),
+                      system.rhs_partial(j, j, t, window)};
+  };
+}
 
 /// Solves w = y_prev + dt * f_j(t_next, y | y_j := w) for component j.
 /// `window` holds the stencil neighborhood of j at t_next from the frozen

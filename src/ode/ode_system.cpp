@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "ode/newton.hpp"
+
 namespace aiac::ode {
 
 void OdeSystem::extract_window(std::span<const double> y, std::size_t j,
@@ -61,6 +63,25 @@ void OdeSystem::jacobian_band_range(std::size_t first, std::size_t count,
   for (std::size_t r = 0; r < count; ++r)
     jacobian_band_row(first + r, t, y_ext.subspan(r, width),
                       band_rows.subspan(r * width, width));
+}
+
+ScalarRowResult OdeSystem::scalar_euler_row(std::size_t j, double dt,
+                                            std::span<const double> old_rows,
+                                            std::span<double> new_row,
+                                            const NewtonOptions& opts,
+                                            std::span<double> window) const {
+  const std::size_t width = window_size();
+  const std::size_t pts = new_row.size();
+  if (pts == 0 || old_rows.size() != width * pts || window.size() != width)
+    throw std::invalid_argument("scalar_euler_row: size mismatch");
+  const std::size_t s = width / 2;
+  return scalar_newton_row(
+      old_rows.subspan(s * pts, pts), new_row, dt, opts,
+      [&](std::size_t step, double t_next) {
+        for (std::size_t slot = 0; slot < width; ++slot)
+          window[slot] = old_rows[slot * pts + step];
+        return window_evaluator(*this, j, t_next, window);
+      });
 }
 
 void OdeSystem::rhs_full(double t, std::span<const double> y,

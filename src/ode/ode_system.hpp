@@ -14,6 +14,16 @@
 
 namespace aiac::ode {
 
+struct NewtonOptions;  // newton.hpp
+
+/// Outcome of one component's scalar implicit-Euler sweep over the time
+/// window (OdeSystem::scalar_euler_row).
+struct ScalarRowResult {
+  std::size_t iterations = 0;  // Newton iterations summed over the steps
+  bool all_converged = true;   // every step met the tolerance
+  double residual = 0.0;       // max over the steps of |new - old|
+};
+
 /// Fixed-size view of the components a single f_j may read:
 /// window[stencil + d] holds y_{j+d} for d in [-stencil, +stencil].
 /// Entries that would fall outside [0, dimension) are never read; the
@@ -69,6 +79,27 @@ class OdeSystem {
   virtual void jacobian_band_range(std::size_t first, std::size_t count,
                                    double t, std::span<const double> y_ext,
                                    std::span<double> band_rows) const;
+
+  /// Scalar Jacobi sweep of component j over the whole time window: the
+  /// inner `for t` of paper Algorithm 1, one scalar implicit-Euler Newton
+  /// solve per step (newton.hpp scalar_newton_row). `old_rows` holds the
+  /// frozen previous iterate of components j - s .. j + s, window_size()
+  /// rows of new_row.size() points each (row slot s is component j, the
+  /// warm start); rows outside [0, dimension()) are present but never
+  /// read. new_row[0] is the initial value; steps 1.. are written.
+  /// `window` is window_size() doubles of scratch.
+  ///
+  /// The default stages each step's window into `window` and evaluates
+  /// through rhs_component / rhs_partial, so a wrapping system that
+  /// overrides only the per-component virtuals sees (and counts) every
+  /// call. Overrides fuse the evaluation into one loop without the
+  /// per-step virtual dispatch and must be bitwise equal to the default:
+  /// same values, iteration counts, flags and residual (DESIGN.md §10).
+  virtual ScalarRowResult scalar_euler_row(std::size_t j, double dt,
+                                           std::span<const double> old_rows,
+                                           std::span<double> new_row,
+                                           const NewtonOptions& opts,
+                                           std::span<double> window) const;
 
   /// Initial condition y(0) into `y` (size dimension()).
   virtual void initial_state(std::span<double> y) const = 0;

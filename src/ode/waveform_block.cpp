@@ -309,31 +309,23 @@ void WaveformBlock::sweep_chunk_block(ChunkState& cs) {
 
 void WaveformBlock::sweep_chunk_scalar(ChunkState& cs) {
   const std::size_t w = 2 * stencil_ + 1;
+  const std::size_t pts = num_steps_ + 1;
   if (cs.window.size() != w) cs.window.resize(w);
-  // Paper Algorithm 1 loop order: component outer, time inner; every
-  // neighboring component (local ones included) is read from Yold, so
-  // rows are independent and any chunking is bitwise-invariant here.
+  // Paper Algorithm 1 loop order: component outer, time inner — one
+  // scalar_euler_row call per owned row. Every neighboring component
+  // (local ones included) is read from Yold, so rows are independent and
+  // any chunking is bitwise-invariant here. Extended rows r .. r + 2s of
+  // old_ are components j - s .. j + s, contiguous at stride pts.
+  const std::span<const double> old_rows = old_.raw();
   for (std::size_t r = cs.lo; r < cs.hi; ++r) {
-    const std::size_t j = first_ + r;
-    for (std::size_t step = 1; step <= num_steps_; ++step) {
-      const double t_next = dt_ * static_cast<double>(step);
-      for (std::size_t slot = 0; slot < w; ++slot) {
-        // Extended row of global component j + (slot - stencil_).
-        const std::size_t row = r + slot;  // == (j+slot-s) - (first-s)
-        cs.window[slot] = old_.at(row, step);
-      }
-      const double y_prev = new_.at(stencil_ + r, step - 1);
-      const ScalarSolveResult solve = scalar_implicit_euler_solve(
-          *system_, j, y_prev, cs.window, t_next, dt_, newton_, cs.ws);
-      const double prev = old_.at(stencil_ + r, step);
-      new_.at(stencil_ + r, step) = solve.value;
-      const double diff = std::abs(solve.value - prev);
-      if (diff > cs.residual) cs.residual = diff;
-      cs.newton_iterations += solve.iterations;
-      cs.check_units += 1;
-      cs.iter_units += solve.iterations;
-      cs.all_converged &= solve.converged;
-    }
+    const ScalarRowResult row = system_->scalar_euler_row(
+        first_ + r, dt_, old_rows.subspan(r * pts, w * pts),
+        new_.row(stencil_ + r), newton_, cs.window);
+    if (row.residual > cs.residual) cs.residual = row.residual;
+    cs.newton_iterations += row.iterations;
+    cs.check_units += num_steps_;
+    cs.iter_units += row.iterations;
+    cs.all_converged &= row.all_converged;
   }
   cs.wrote = cs.hi > cs.lo;
 }
