@@ -13,6 +13,8 @@
 // only on the hardware-normalized metrics — allocation counts and the
 // speedup ratios of the workspace/chord kernels over the fresh-allocation
 // kernel — plus same-machine ns regressions beyond 25%.
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -637,6 +639,46 @@ int main(int argc, char** argv) {
     r.allocs_per_step =
         static_cast<double>(da) / static_cast<double>(reps);
     r.speedup_vs_fresh = full_secs / chunk_secs;
+    results.push_back(r);
+  }
+
+  // -- Fused factor+solve on the sim-newton block shape: an 8-row
+  //    pentadiagonal system (4 grid points of a Brusselator block),
+  //    refilled from the same assembled band before every solve, as a
+  //    fresh Newton iteration does. Median of five rounds.
+  {
+    constexpr std::size_t n = 8;
+    const std::size_t reps = quick ? 20000 : 200000;
+    linalg::BandedMatrix assembled(n, 2, 2);
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::size_t c_lo = r >= 2 ? r - 2 : 0;
+      const std::size_t c_hi = std::min(n - 1, r + 2);
+      for (std::size_t c = c_lo; c <= c_hi; ++c)
+        assembled.ref(r, c) =
+            r == c ? 4.0 + 0.01 * static_cast<double>(r) : -0.4;
+    }
+    linalg::BandedMatrix lu = assembled;
+    std::array<double, n> rhs{};
+    std::array<double, 5> secs{};
+    const std::uint64_t a0 = allocs();
+    for (double& t : secs) {
+      const auto t0 = Clock::now();
+      for (std::size_t rep = 0; rep < reps; ++rep) {
+        std::copy(assembled.band_data().begin(), assembled.band_data().end(),
+                  lu.band_data().begin());
+        for (std::size_t i = 0; i < n; ++i)
+          rhs[i] = 1.0 + 0.001 * static_cast<double>(i);
+        linalg::banded_lu_factor_solve_in_place(lu, rhs);
+      }
+      t = std::chrono::duration<double>(Clock::now() - t0).count();
+    }
+    const std::uint64_t da = allocs() - a0;
+    std::sort(secs.begin(), secs.end());
+    BenchResult r;
+    r.name = "banded_lu_factor_solve_penta8";
+    r.ns_per_step = secs[secs.size() / 2] * 1e9 / static_cast<double>(reps);
+    r.allocs_per_step =
+        static_cast<double>(da) / static_cast<double>(secs.size() * reps);
     results.push_back(r);
   }
 

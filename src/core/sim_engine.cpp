@@ -126,18 +126,14 @@ class SimEngine final : public algo::Transport,
 
   // ---- algo::Transport ----------------------------------------------
 
-  /// Called from ProcessorCore::emit_boundaries right after the numerics
-  /// ran at virtual time t_start; the staged departure times implement the
-  /// scheme's send discipline (SIAC/AIAC dispatch the leftward data early
-  /// in the iteration, paper Fig. 2-4; SISC sends everything at the end).
+  /// The Transport entry for a caller-built message (ProcessorCore::
+  /// emit_boundaries). The engine's own iteration path fills its slots in
+  /// place instead (emit_boundaries below); both schedule alike.
   void send_boundary(std::size_t src, Side toward,
                      ode::BoundaryMessage msg) override {
-    const double depart = toward == Side::kLeft ? staged_left_depart_
-                                                : staged_right_depart_;
-    const std::size_t dst = toward == Side::kLeft ? src - 1 : src + 1;
-    sim_.schedule_at(depart, [this, src, dst, msg = std::move(msg), toward] {
-      dispatch_boundary(src, dst, msg, /*to_left=*/toward == Side::kLeft);
-    });
+    const std::size_t slot = acquire_slot(src, toward);
+    slots_[slot].msg = std::move(msg);
+    schedule_departure(slot);
   }
 
   void send_migration(std::size_t src, Side toward,
@@ -254,6 +250,20 @@ class SimEngine final : public algo::Transport,
     /// (iterating on unchanged data is a no-op; the paper's runtime spins
     /// through such iterations, with identical observable behaviour).
     bool dormant = false;
+
+    /// The iteration in flight (computing == true), kept here until its
+    /// finish event so the event captures only the rank.
+    ode::WaveformBlock::IterationStats stats;
+    double t_start = 0.0;
+    std::size_t components = 0;
+  };
+
+  /// One boundary message from its send to its delivery (or its drop).
+  struct BoundarySlot {
+    ode::BoundaryMessage msg;
+    std::size_t src = 0;
+    std::size_t dst = 0;
+    bool to_left = false;
   };
 
   bool ready_to_start(std::size_t p) const {
@@ -314,11 +324,59 @@ class SimEngine final : public algo::Transport,
     staged_left_depart_ =
         t_start + (early ? config_.early_send_fraction * duration : duration);
     staged_right_depart_ = t_start + duration;
-    core.emit_boundaries(*this);
+    emit_boundaries(p);
 
-    sim_.schedule_at(t_start + duration, [this, p, stats, t_start, components] {
-      finish_iteration(p, stats, t_start, components);
-    });
+    proc.stats = stats;
+    proc.t_start = t_start;
+    proc.components = components;
+    sim_.schedule_at(t_start + duration, [this, p] { finish_iteration(p); });
+  }
+
+  // ---- Boundary message slots ---------------------------------------
+  //
+  // Every boundary message in flight lives in a recycled slot from its
+  // send to its delivery, and the events name it by index. The rows keep
+  // their capacity across reuse, and an event capturing [this, slot]
+  // fits std::function's inline buffer, so the steady-state message path
+  // allocates nothing.
+
+  /// A free slot addressed src -> its `toward` neighbor. The table grows
+  /// only while the number of messages in flight reaches a new high.
+  std::size_t acquire_slot(std::size_t src, Side toward) {
+    if (free_slots_.empty()) {
+      free_slots_.push_back(slots_.size());
+      slots_.emplace_back();
+    }
+    const std::size_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    BoundarySlot& s = slots_[slot];
+    s.src = src;
+    s.to_left = toward == Side::kLeft;
+    s.dst = s.to_left ? src - 1 : src + 1;
+    return slot;
+  }
+
+  void release_slot(std::size_t slot) { free_slots_.push_back(slot); }
+
+  /// The core's boundary rows for each neighbor, filled into slots right
+  /// after the numerics ran at virtual time t_start; the staged departure
+  /// times implement the scheme's send discipline (SIAC/AIAC dispatch the
+  /// leftward data early in the iteration, paper Fig. 2-4; SISC sends
+  /// everything at the end).
+  void emit_boundaries(std::size_t p) {
+    const algo::ProcessorCore& core = fleet_->core(p);
+    for (const Side side : {Side::kLeft, Side::kRight}) {
+      if (!core.has_neighbor(side)) continue;
+      const std::size_t slot = acquire_slot(p, side);
+      core.fill_boundary(side, slots_[slot].msg);
+      schedule_departure(slot);
+    }
+  }
+
+  void schedule_departure(std::size_t slot) {
+    const double depart =
+        slots_[slot].to_left ? staged_left_depart_ : staged_right_depart_;
+    sim_.schedule_at(depart, [this, slot] { dispatch_boundary(slot); });
   }
 
   /// Per-directed-link FIFO: the grid's data channels are TCP streams, so
@@ -335,9 +393,13 @@ class SimEngine final : public algo::Transport,
     return arrival;
   }
 
-  void dispatch_boundary(std::size_t src, std::size_t dst,
-                         const ode::BoundaryMessage& msg, bool to_left) {
-    if (stopped_) return;
+  void dispatch_boundary(std::size_t slot) {
+    if (stopped_) return release_slot(slot);
+    const BoundarySlot& out = slots_[slot];
+    const std::size_t src = out.src;
+    const std::size_t dst = out.dst;
+    const bool to_left = out.to_left;
+    const ode::BoundaryMessage& msg = out.msg;
     Proc& sender = procs_[src];
     // AIAC mutual exclusion: skip this send if the previous one on the
     // same link has not completed yet (paper Fig. 4 dashed lines).
@@ -346,7 +408,7 @@ class SimEngine final : public algo::Transport,
       // Remember to retry when the link clears, so a processor that goes
       // idle afterwards still propagates its final values.
       (to_left ? sender.send_left_pending : sender.send_right_pending) = true;
-      return;
+      return release_slot(slot);
     }
     busy = true;
     const double sent = sim_.now();
@@ -379,41 +441,43 @@ class SimEngine final : public algo::Transport,
     result_bytes_ += wire_bytes;
     algo::emit_message(trace_, src, dst, sent, arrival, wire_bytes,
                        trace::MessageKind::kBoundaryData);
-    sim_.schedule_at(arrival, [this, src, dst, msg, to_left] {
-      deliver_boundary(src, dst, msg, to_left);
-    });
+    sim_.schedule_at(arrival, [this, slot] { deliver_boundary(slot); });
   }
 
-  void deliver_boundary(std::size_t src, std::size_t dst,
-                        const ode::BoundaryMessage& msg, bool to_left) {
+  void deliver_boundary(std::size_t slot) {
+    const std::size_t src = slots_[slot].src;
+    const std::size_t dst = slots_[slot].dst;
+    const bool to_left = slots_[slot].to_left;
     Proc& sender = procs_[src];
     (to_left ? sender.send_left_busy : sender.send_right_busy) = false;
-    if (stopped_) return;
+    if (stopped_) return release_slot(slot);
     bool& pending =
         to_left ? sender.send_left_pending : sender.send_right_pending;
     if (pending) {
       pending = false;
-      auto fresh = fleet_->core(src).make_boundary(to_left ? Side::kLeft
-                                                           : Side::kRight);
-      dispatch_boundary(src, dst, fresh, to_left);
+      const Side side = to_left ? Side::kLeft : Side::kRight;
+      const std::size_t fresh = acquire_slot(src, side);
+      fleet_->core(src).fill_boundary(side, slots_[fresh].msg);
+      dispatch_boundary(fresh);
     }
     // src = dst + 1 when to_left: the receiver gets data from its right.
     fleet_->core(dst).ingest_boundary(to_left ? Side::kRight : Side::kLeft,
-                                      msg);
+                                      slots_[slot].msg);
+    release_slot(slot);
     if (procs_[dst].waiting || procs_[dst].dormant) try_start(dst);
   }
 
-  void finish_iteration(std::size_t p,
-                        ode::WaveformBlock::IterationStats stats,
-                        double t_start, std::size_t components) {
+  void finish_iteration(std::size_t p) {
     Proc& proc = procs_[p];
     proc.computing = false;
     if (stopped_) return;
+    const ode::WaveformBlock::IterationStats& stats = proc.stats;
+    const double t_start = proc.t_start;
     algo::ProcessorCore& core = fleet_->core(p);
     core.finish_iteration(stats, t_start, *this);
     const double now_ = sim_.now();
     algo::emit_iteration(trace_, p, core.iteration(), t_start, now_,
-                         stats.work, stats.residual, components);
+                         stats.work, stats.residual, proc.components);
 
     if (core.iteration() >= config_.max_iterations_per_processor ||
         now_ >= config_.max_virtual_time) {
@@ -571,6 +635,10 @@ class SimEngine final : public algo::Transport,
   std::unique_ptr<algo::DetectionProtocol> protocol_;
 
   std::vector<Proc> procs_;
+  /// Boundary messages in flight, by slot index; free_slots_ lists the
+  /// recyclable ones.
+  std::vector<BoundarySlot> slots_;
+  std::vector<std::size_t> free_slots_;
   /// Byte-accounting planners per directed link (empty when delta framing
   /// is disabled) and the per-link comms tallies they feed. The event
   /// loop is single-threaded, so one delta scratch serves every link.
@@ -586,7 +654,7 @@ class SimEngine final : public algo::Transport,
   /// [link][1] leftward.
   std::vector<std::array<double, 2>> link_clear_;
   // Departure times for the boundary messages of the iteration currently
-  // being started (set immediately before ProcessorCore::emit_boundaries).
+  // being started (set immediately before emit_boundaries).
   double staged_left_depart_ = 0.0;
   double staged_right_depart_ = 0.0;
 

@@ -86,6 +86,18 @@ void banded_lu_factor_in_place(BandedMatrix& a,
 /// banded_lu_factor_in_place. Allocation-free.
 void banded_lu_solve_in_place(const BandedMatrix& lu, std::span<double> b);
 
+/// banded_lu_factor_in_place followed by banded_lu_solve_in_place in one
+/// pass: the right-hand side is eliminated together with the band, then
+/// back-substituted. Bitwise identical to the two calls in sequence (the
+/// same operations in the same order), on both the factors left in `a`
+/// and the solution left in `b`, so `a` can serve later
+/// banded_lu_solve_in_place calls. Throws std::invalid_argument on a size
+/// mismatch (before touching `a`) and std::runtime_error on a pivot below
+/// `pivot_tolerance`, naming the same row the factorization would; `a`
+/// and `b` are unspecified after the latter.
+void banded_lu_factor_solve_in_place(BandedMatrix& a, std::span<double> b,
+                                     double pivot_tolerance = 1e-14);
+
 /// LU factorization of a banded matrix *without pivoting* — the owning
 /// convenience wrapper over banded_lu_factor_in_place /
 /// banded_lu_solve_in_place; see those for the validity domain. Callers on

@@ -199,6 +199,10 @@ std::vector<std::string> default_hot_registry() {
       // override).
       "scalar_implicit_euler_solve",
       "block_implicit_euler_step",
+      // The fused banded factor+solve every fresh Newton iteration runs
+      // (also reached through the block solve; listed so a direct caller
+      // stays covered).
+      "banded_lu_factor_solve_in_place",
       "OdeSystem::scalar_euler_row",
       "Brusselator::scalar_euler_row",
       // Sharded iterate + intra-processor worker pool (PR 7). The pool

@@ -1,6 +1,7 @@
 #include "ode/boundary_delta.hpp"
 
 #include <cmath>
+#include <cstddef>
 
 namespace aiac::ode {
 
@@ -76,10 +77,11 @@ BoundaryDeltaSender::Plan BoundaryDeltaSender::plan(
   delta.rows.clear();
   for (std::size_t row = 0; row < full.row_count; ++row) {
     if (dirty_[row]) {
-      const std::size_t at = row * full.points;
+      const auto at = static_cast<std::ptrdiff_t>(row * full.points);
+      const auto points = static_cast<std::ptrdiff_t>(full.points);
       delta.row_indices.push_back(row);
       delta.rows.insert(delta.rows.end(), full.rows.begin() + at,
-                        full.rows.begin() + at + full.points);
+                        full.rows.begin() + at + points);
     } else {
       ++rows_suppressed_;
     }

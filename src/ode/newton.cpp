@@ -40,28 +40,30 @@ ScalarSolveResult scalar_implicit_euler_solve(const OdeSystem& system,
 
 namespace {
 
-/// Assembles A = I - dt J into the workspace Jacobian and factors it in
-/// place. One batched OdeSystem::jacobian_band_range call over the block
-/// (ws.window holds the extended state for this iterate); the band slot
-/// layout of each row (d in [-s, s] at slot d + s) coincides with the
-/// band-storage slot layout for kl = ku = s, so rows are written at full
-/// stride. Slots whose column falls outside the block are band-storage
+/// Assembles A = I - dt J into the workspace Jacobian, then factors it and
+/// solves for the Newton update in ws.rhs in one fused pass. One batched
+/// OdeSystem::jacobian_band_range call over the block (ws.window holds the
+/// extended state for this iterate) writes J straight into the band
+/// storage: the band slot layout of each row (d in [-s, s] at slot d + s)
+/// coincides with the band-storage slot layout for kl = ku = s, and the
+/// range call writes every slot of every row. A = I - dt J is then formed
+/// in place. Slots whose column falls outside the block are band-storage
 /// padding for edge rows — writable, never read by factor/solve — so no
 /// per-slot range check is needed.
-void assemble_and_factor(const OdeSystem& system, std::size_t first,
-                         std::size_t nb, double t_next, double dt,
-                         NewtonWorkspace& ws) {
+void assemble_factor_solve(const OdeSystem& system, std::size_t first,
+                           std::size_t nb, double t_next, double dt,
+                           NewtonWorkspace& ws) {
   const std::size_t s = system.stencil_halfwidth();
   const std::size_t width = 2 * s + 1;
   ws.jac.reshape(nb, s, s);
-  system.jacobian_band_range(first, nb, t_next, ws.window, ws.band);
-  double* data = ws.jac.band_data().data();
-  const double* band = ws.band.data();
+  const std::span<double> band = ws.jac.band_data();
+  system.jacobian_band_range(first, nb, t_next, ws.window, band);
+  double* data = band.data();
   for (std::size_t r = 0; r < nb; ++r)
     for (std::size_t slot = 0; slot < width; ++slot)
       data[r * width + slot] =
-          (slot == s ? 1.0 : 0.0) - dt * band[r * width + slot];
-  linalg::banded_lu_factor_in_place(ws.jac);
+          (slot == s ? 1.0 : 0.0) - dt * data[r * width + slot];
+  linalg::banded_lu_factor_solve_in_place(ws.jac, ws.rhs);
   ++ws.factorizations;
   ws.jac_age = 0;
   ws.jac_rows = nb;
@@ -85,13 +87,11 @@ BlockSolveResult block_implicit_euler_step(
       (first + nb < system.dimension() && ghost_right.size() < s))
     throw std::invalid_argument("block step: ghost spans too small");
 
-  const std::size_t width = 2 * s + 1;
   // Block-path buffer roles: `window` is the extended state y_ext of the
-  // batched range calls (window of row r = window[r .. r+2s]); `band`
-  // holds all nb Jacobian band rows. Resizes are no-ops once warm.
+  // batched range calls (window of row r = window[r .. r+2s]). Resizes are
+  // no-ops once warm.
   if (ws.rhs.size() != nb) ws.rhs.resize(nb);
   if (ws.window.size() != nb + 2 * s) ws.window.resize(nb + 2 * s);
-  if (ws.band.size() != nb * width) ws.band.resize(nb * width);
 
   // Ghost slots of the extended state are fixed for the whole solve; the
   // out-of-domain ones stay zero (never read by a correct system).
@@ -130,10 +130,13 @@ BlockSolveResult block_implicit_euler_step(
       result.skipped_by_check = it == 0;
       break;
     }
+    // A fresh factorization solves in the same pass; only a chord reuse
+    // of the held factors runs the separate solve.
     if (!ws.jac_valid || ws.jac_age >= opts.chord_max_age)
-      assemble_and_factor(system, first, nb, t_next, dt, ws);
+      assemble_factor_solve(system, first, nb, t_next, dt, ws);
+    else
+      linalg::banded_lu_solve_in_place(ws.jac, ws.rhs);
     ws.jac_valid = true;
-    linalg::banded_lu_solve_in_place(ws.jac, ws.rhs);
     ++ws.jac_age;
     double update_norm = 0.0;
     for (std::size_t r = 0; r < nb; ++r) {

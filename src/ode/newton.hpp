@@ -107,7 +107,6 @@ struct NewtonWorkspace {
   linalg::BandedMatrix jac;   // assembled, then factored in place
   std::vector<double> rhs;
   std::vector<double> window;
-  std::vector<double> band;
   bool jac_valid = false;     // chord: held factorization usable
   std::size_t jac_age = 0;    // Newton iterations served by it
   std::size_t jac_rows = 0;   // block size it was built for
@@ -245,9 +244,9 @@ BlockSolveResult block_implicit_euler_step(
     const NewtonOptions& opts = {});
 
 /// Workspace overload — the hot path. All solver storage (Jacobian band,
-/// factorization, rhs, stencil window, Jacobian row buffer) lives in
-/// `workspace` and is reused across calls: after the first call at a given
-/// block size the solve performs zero heap allocations. This is also the
+/// factorization, rhs, stencil window) lives in `workspace` and is reused
+/// across calls: after the first call at a given block size the solve
+/// performs zero heap allocations. This is also the
 /// only entry point where JacobianReuse::kChordAcrossSteps can reuse a
 /// factorization across calls. Residual evaluation and Jacobian assembly
 /// go through the batched OdeSystem::rhs_range / jacobian_band_range

@@ -74,7 +74,9 @@ class OdeSystem {
 
   /// Batched Jacobian band rows over [first, first + count): row r's band
   /// lands at band_rows[r * window_size() ..], with the same slot
-  /// convention as jacobian_band_row. `y_ext` as in rhs_range. The
+  /// convention as jacobian_band_row. `y_ext` as in rhs_range. Every slot
+  /// of every row must be written: the block Newton kernel assembles
+  /// straight into storage that still holds the previous factors. The
   /// default loops jacobian_band_row.
   virtual void jacobian_band_range(std::size_t first, std::size_t count,
                                    double t, std::span<const double> y_ext,

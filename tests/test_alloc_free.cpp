@@ -10,6 +10,9 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/config.hpp"
+#include "core/sim_engine.hpp"
+#include "grid/grid.hpp"
 #include "ode/brusselator.hpp"
 #include "ode/waveform_block.hpp"
 #include "runtime/worker_pool.hpp"
@@ -173,6 +176,56 @@ TEST(AllocFreeParallel, PooledChunkedIterateAllocatesNothing) {
   for (int iter = 0; iter < 16; ++iter) block.iterate();  // skip path
   EXPECT_EQ(allocs() - before, 0u)
       << "pooled chunked iterations allocated on the heap";
+}
+
+// The virtual-time engine's message path: boundary sends fill recycled
+// slots and every event captures only indices, so once the slot table has
+// grown to the most messages ever in flight, a simulated iteration costs
+// (near) no heap allocation. Two runs that differ only in their iteration
+// cap share every setup allocation; the difference per extra iteration is
+// the steady-state cost, which must not grow with the run length.
+struct SimAllocs {
+  std::uint64_t allocations = 0;
+  std::size_t iterations = 0;
+};
+
+SimAllocs simulated_allocations(std::size_t iteration_cap) {
+  ode::Brusselator::Params params;
+  params.grid_points = 24;
+  const ode::Brusselator system(params);
+  core::EngineConfig config;
+  config.scheme = core::Scheme::kAIAC;
+  config.solve_mode = ode::LocalSolveMode::kBlockNewton;
+  config.num_steps = 20;
+  config.t_end = 10.0;
+  config.tolerance = 1e-14;  // never reached: the cap ends the run
+  config.max_iterations_per_processor = iteration_cap;
+  grid::HomogeneousClusterParams cluster;
+  cluster.processes = 4;
+  cluster.multi_user = false;
+  auto grid = grid::make_homogeneous_cluster(cluster);
+  const std::uint64_t before = allocs();
+  const core::EngineResult result = core::run_simulated(system, *grid, config);
+  return {allocs() - before, result.total_iterations};
+}
+
+TEST(AllocFreeSimEngine, SteadyStateIterationsBarelyAllocate) {
+  const SimAllocs short_run = simulated_allocations(60);
+  const SimAllocs mid_run = simulated_allocations(120);
+  const SimAllocs long_run = simulated_allocations(240);
+  ASSERT_GT(mid_run.iterations, short_run.iterations);
+  ASSERT_GT(long_run.iterations, mid_run.iterations);
+  const auto per_iteration = [](const SimAllocs& a, const SimAllocs& b) {
+    return static_cast<double>(b.allocations - a.allocations) /
+           static_cast<double>(b.iterations - a.iterations);
+  };
+  const double early = per_iteration(short_run, mid_run);
+  const double late = per_iteration(mid_run, long_run);
+  // Messages built by value cost about seven allocations per simulated
+  // iteration on this configuration; the slot table brings it to zero.
+  EXPECT_LT(early, 0.5) << "allocations per simulated iteration";
+  EXPECT_LT(late, 0.5) << "allocations per simulated iteration";
+  EXPECT_LE(late, early + 0.05) << "per-iteration allocations grow";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "linalg/banded_matrix.hpp"
 #include "linalg/csr_matrix.hpp"
@@ -123,6 +126,142 @@ TEST(BandedLuTest, ThrowsOnTinyPivot) {
   m.ref(1, 1) = 0.0;
   EXPECT_THROW(BandedLu{m}, std::runtime_error);
 }
+
+// ---- Fused factor+solve parity -------------------------------------------
+//
+// banded_lu_factor_solve_in_place promises the bits of
+// banded_lu_factor_in_place followed by banded_lu_solve_in_place, on the
+// factors and on the solution, for the fixed-bandwidth kernels (KL = 1, 2)
+// and the generic loops alike.
+
+struct BandShape {
+  std::size_t kl;
+  std::size_t ku;
+};
+
+// Random diagonally dominant band. Exact zeros sit where the Brusselator's
+// Jacobian has them (no u_i -> v_{i-1} and no v_i -> u_{i+1} coupling in
+// the interleaved pentadiagonal layout) plus at random off-diagonal slots.
+BandedMatrix random_band(std::size_t n, BandShape shape, std::uint64_t seed) {
+  aiac::util::Rng rng(seed);
+  BandedMatrix m(n, shape.kl, shape.ku);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) {
+      if (!m.in_band(r, c)) continue;
+      const bool no_coupling =
+          shape.kl == 2 && shape.ku == 2 &&
+          ((r % 2 == 0 && c + 1 == r) || (r % 2 == 1 && c == r + 1));
+      if (r == c)
+        m.ref(r, c) = rng.uniform(3.0, 5.0) * (rng.uniform() < 0.5 ? -1 : 1);
+      else if (no_coupling || rng.uniform() < 0.2)
+        m.ref(r, c) = 0.0;
+      else
+        m.ref(r, c) = rng.uniform(-1.0, 1.0);
+    }
+  return m;
+}
+
+std::vector<double> random_rhs(std::size_t n, std::uint64_t seed) {
+  aiac::util::Rng rng(seed);
+  std::vector<double> b(n);
+  for (auto& x : b) x = rng.uniform(-2.0, 2.0);
+  return b;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// In-band entries only: band-storage padding is unspecified.
+void expect_same_factors(const BandedMatrix& a, const BandedMatrix& b) {
+  for (std::size_t r = 0; r < a.size(); ++r)
+    for (std::size_t c = 0; c < a.size(); ++c) {
+      if (!a.in_band(r, c)) continue;
+      EXPECT_TRUE(same_bits(a.at(r, c), b.at(r, c)))
+          << "factor entry (" << r << ", " << c << "): " << a.at(r, c)
+          << " vs " << b.at(r, c);
+    }
+}
+
+class FusedBandedLu : public ::testing::TestWithParam<BandShape> {};
+
+TEST_P(FusedBandedLu, MatchesFactorThenSolveBitwise) {
+  const BandShape shape = GetParam();
+  for (const std::size_t n : {1u, 2u, 3u, 4u, 5u, 8u, 33u}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", seed " +
+                   std::to_string(seed));
+      BandedMatrix two_pass = random_band(n, shape, seed);
+      BandedMatrix fused = two_pass;
+      std::vector<double> x_two_pass = random_rhs(n, seed + 100);
+      std::vector<double> x_fused = x_two_pass;
+
+      banded_lu_factor_in_place(two_pass);
+      banded_lu_solve_in_place(two_pass, x_two_pass);
+      banded_lu_factor_solve_in_place(fused, x_fused);
+
+      expect_same_factors(two_pass, fused);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_TRUE(same_bits(x_two_pass[i], x_fused[i]))
+            << "x[" << i << "]: " << x_two_pass[i] << " vs " << x_fused[i];
+
+      // The factors the fused pass leaves behind serve later solves.
+      std::vector<double> again = random_rhs(n, seed + 200);
+      std::vector<double> again_ref = again;
+      banded_lu_solve_in_place(fused, again);
+      banded_lu_solve_in_place(two_pass, again_ref);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_TRUE(same_bits(again[i], again_ref[i]));
+    }
+  }
+}
+
+TEST_P(FusedBandedLu, SubTolerancePivotNamesTheSameRow) {
+  const BandShape shape = GetParam();
+  const std::size_t n = 8;
+  for (const std::size_t bad_row : {std::size_t{0}, std::size_t{3}, n - 1}) {
+    // A zero row leaves a zero pivot at exactly that row: its multipliers
+    // are zero, so no earlier step changes its diagonal.
+    BandedMatrix m = random_band(n, shape, 7);
+    for (std::size_t c = 0; c < n; ++c)
+      if (m.in_band(bad_row, c)) m.ref(bad_row, c) = 0.0;
+    const std::string expected =
+        "banded LU: pivot below tolerance at row " + std::to_string(bad_row);
+
+    BandedMatrix factored = m;
+    try {
+      banded_lu_factor_in_place(factored);
+      ADD_FAILURE() << "factor accepted a zero pivot";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), expected);
+    }
+    BandedMatrix fused = m;
+    std::vector<double> b = random_rhs(n, 9);
+    try {
+      banded_lu_factor_solve_in_place(fused, b);
+      ADD_FAILURE() << "fused factor+solve accepted a zero pivot";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), expected);
+    }
+  }
+}
+
+TEST_P(FusedBandedLu, SizeMismatchLeavesTheMatrixUntouched) {
+  const BandedMatrix original = random_band(5, GetParam(), 3);
+  BandedMatrix m = original;
+  std::vector<double> b(4, 1.0);
+  EXPECT_THROW(banded_lu_factor_solve_in_place(m, b), std::invalid_argument);
+  expect_same_factors(original, m);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Bandwidths, FusedBandedLu,
+    ::testing::Values(BandShape{1, 1}, BandShape{2, 2}, BandShape{3, 3},
+                      BandShape{1, 2}, BandShape{2, 1}),
+    [](const auto& shape_info) {
+      return "kl" + std::to_string(shape_info.param.kl) + "ku" +
+             std::to_string(shape_info.param.ku);
+    });
 
 TEST(Tridiagonal, MatchesBandedSolver) {
   const std::size_t n = 20;
