@@ -32,43 +32,57 @@ bool Simulator::cancel(EventId id) {
   return true;
 }
 
-bool Simulator::step() {
-  while (!queue_.empty() && !stopped_) {
-    // priority_queue::top returns const&; move out via const_cast is the
-    // standard idiom to avoid copying the std::function.
-    Event ev = std::move(const_cast<Event&>(queue_.top()));
+void Simulator::drop_cancelled_heads() {
+  if (cancelled_in_queue_ == 0) return;
+  while (!queue_.empty() && is_cancelled(queue_.top().sequence)) {
+    const std::uint64_t seq = queue_.top().sequence;
     queue_.pop();
-    if (is_cancelled(ev.sequence)) {
-      cancelled_.erase(
-          std::remove(cancelled_.begin(), cancelled_.end(), ev.sequence),
-          cancelled_.end());
-      --cancelled_in_queue_;
-      continue;
-    }
-    now_ = ev.time;
-    ++executed_;
-    ev.fn();
-    return true;
+    cancelled_.erase(std::remove(cancelled_.begin(), cancelled_.end(), seq),
+                     cancelled_.end());
+    --cancelled_in_queue_;
   }
-  return false;
+}
+
+bool Simulator::has_live_event() {
+  drop_cancelled_heads();
+  return !queue_.empty() && !stopped_;
+}
+
+void Simulator::execute_head() {
+  // priority_queue::top returns const&; move out via const_cast is the
+  // standard idiom to avoid copying the std::function.
+  Event ev = std::move(const_cast<Event&>(queue_.top()));
+  queue_.pop();
+  now_ = ev.time;
+  ++executed_;
+  ev.fn();
+}
+
+bool Simulator::step() {
+  if (!has_live_event()) return false;
+  execute_head();
+  return true;
 }
 
 void Simulator::run(std::uint64_t max_events) {
+  // The budget is checked before an event executes: a run of exactly
+  // max_events events completes, one more throws with max_events done.
   std::uint64_t budget = max_events;
-  while (step()) {
+  while (has_live_event()) {
     if (budget-- == 0)
       throw std::runtime_error("Simulator::run: event budget exhausted");
+    execute_head();
   }
 }
 
 void Simulator::run_until(SimTime t_end, std::uint64_t max_events) {
   std::uint64_t budget = max_events;
-  while (!queue_.empty() && !stopped_) {
-    // Peek at the next non-cancelled event's time.
-    if (queue_.top().time > t_end) break;
-    if (!step()) break;
+  // has_live_event() drops cancelled heads first, so the peeked time is
+  // that of the event executed next.
+  while (has_live_event() && queue_.top().time <= t_end) {
     if (budget-- == 0)
       throw std::runtime_error("Simulator::run_until: event budget exhausted");
+    execute_head();
   }
   if (!stopped_) now_ = std::max(now_, t_end);
 }

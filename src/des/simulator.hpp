@@ -55,10 +55,12 @@ class Simulator {
   bool step();
 
   /// Runs until the queue drains, stop() is called, or the event budget is
-  /// exhausted (a runaway-loop guard; throws std::runtime_error then).
+  /// exhausted (a runaway-loop guard): at most `max_events` events
+  /// execute, and a further pending event throws std::runtime_error.
   void run(std::uint64_t max_events = UINT64_MAX);
 
-  /// Runs until virtual time exceeds `t_end` (events at <= t_end execute).
+  /// Runs until virtual time exceeds `t_end` (events at <= t_end execute;
+  /// later ones stay queued). Same event budget as run().
   void run_until(SimTime t_end, std::uint64_t max_events = UINT64_MAX);
 
   /// Makes run()/run_until() return after the current event completes.
@@ -91,6 +93,13 @@ class Simulator {
   std::size_t cancelled_in_queue_ = 0;
 
   bool is_cancelled(std::uint64_t seq) const noexcept;
+  /// Pops cancelled events off the head of the queue.
+  void drop_cancelled_heads();
+  /// True when the head of the queue is a live event and the simulation
+  /// has not been stopped (drops cancelled heads first).
+  bool has_live_event();
+  /// Executes the head event; the head must be live (has_live_event()).
+  void execute_head();
 };
 
 }  // namespace aiac::des

@@ -194,17 +194,17 @@ std::vector<std::string> default_hot_registry() {
       "ProcessorCore::ingest_boundary",
       "ProcessorCore::fill_boundary",
       "ProcessorCore::emit_boundaries",
-      // Allocation-free Newton workspace solves and the scalar Jacobi row
-      // sweep (the default per-component path and the fused Brusselator
-      // override).
+      // Allocation-free Newton workspace solves and the scalar Jacobi
+      // range sweep (the default per-component path and the lane-parallel
+      // Brusselator override, which reaches the lockstep Newton core).
       "scalar_implicit_euler_solve",
       "block_implicit_euler_step",
       // The fused banded factor+solve every fresh Newton iteration runs
       // (also reached through the block solve; listed so a direct caller
       // stays covered).
       "banded_lu_factor_solve_in_place",
-      "OdeSystem::scalar_euler_row",
-      "Brusselator::scalar_euler_row",
+      "OdeSystem::scalar_euler_rows",
+      "Brusselator::scalar_euler_rows",
       // Sharded iterate + intra-processor worker pool (PR 7). The pool
       // entries are listed explicitly because `run` is on the generic
       // callee stop-list above.

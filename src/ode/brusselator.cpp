@@ -1,5 +1,7 @@
 #include "ode/brusselator.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -230,63 +232,90 @@ void Brusselator::jacobian_band_range(std::size_t first, std::size_t count,
   }
 }
 
-ScalarRowResult Brusselator::scalar_euler_row(
-    std::size_t j, double dt, std::span<const double> old_rows,
-    std::span<double> new_row, const NewtonOptions& opts,
-    std::span<double> /*window*/) const {
-  const std::size_t pts = new_row.size();
-  if (j >= dimension())
-    throw std::out_of_range("Brusselator::scalar_euler_row");
-  if (pts == 0 || old_rows.size() != 5 * pts)
-    throw std::invalid_argument("Brusselator::scalar_euler_row: size");
-  // The component, its parity and its Dirichlet ends are fixed for the
-  // whole row, so they are resolved once here: a neighbor row is read at
-  // stride 1, a boundary constant at stride 0. Only the center value
-  // varies inside a step's Newton iteration; the expressions below are
-  // rhs_component / rhs_partial(j, j) verbatim, so the arithmetic (and
-  // the result) is bitwise that of the default path.
+ScalarRowResult Brusselator::scalar_euler_rows(
+    std::size_t first, std::size_t count, double dt,
+    std::span<const double> old_rows, std::span<double> new_rows,
+    const NewtonOptions& opts, std::span<double> window) const {
+  const std::size_t pts =
+      scalar_rows_points(first, count, old_rows, new_rows, window);
+  using lanes::kWidth;
+  using lanes::Lanes;
+  // A row's neighbor column at stride 1, or a Dirichlet boundary value at
+  // stride 0 (resolved once per row, not per step).
   struct Column {
     const double* at;
     std::size_t stride;
-    double operator()(std::size_t step) const { return at[step * stride]; }
   };
-  const std::size_t i = j / 2;
-  const bool is_u = (j % 2) == 0;
-  const double& boundary = is_u ? params_.u_boundary : params_.v_boundary;
-  const double* rows = old_rows.data();
-  const Column left =
-      i == 0 ? Column{&boundary, 0} : Column{rows, 1};  // y_{j-2}
-  const Column right = i + 1 == params_.grid_points
-                           ? Column{&boundary, 0}
-                           : Column{rows + 4 * pts, 1};  // y_{j+2}
-  const std::span<const double> center = old_rows.subspan(2 * pts, pts);
+  struct LaneColumns {
+    std::array<Column, kWidth> lane;
+    Lanes operator()(std::size_t step) const {
+      return Lanes(lane[0].at[step * lane[0].stride],
+                   lane[1].at[step * lane[1].stride],
+                   lane[2].at[step * lane[2].stride],
+                   lane[3].at[step * lane[3].stride]);
+    }
+  };
   const double c = diffusion_;
-  if (is_u) {
-    const Column v_row{rows + 3 * pts, 1};  // v_i
-    return scalar_newton_row(
-        center, new_row, dt, opts, [=](std::size_t step, double) {
-          const double v = v_row(step);
-          const double u_left = left(step);
-          const double u_right = right(step);
-          return [=](double u) {
-            return ScalarEval{
-                1.0 + u * u * v - 4.0 * u + c * (u_left - 2.0 * u + u_right),
-                2.0 * u * v - 4.0 - 2.0 * c};
-          };
-        });
+  const std::size_t n_grid = params_.grid_points;
+  const double* rows = old_rows.data();
+  ScalarRowResult total;
+  // Same-parity rows run four to a lockstep group (u with u, v with v:
+  // the two species have different evaluators); a short last group
+  // repeats its first row in the spare lanes. Within a group only the
+  // iterate varies inside a step's Newton iteration; the lane
+  // expressions below are rhs_component / rhs_partial(j, j) verbatim, so
+  // every lane is bitwise the default path's row.
+  for (const bool is_u : {true, false}) {
+    const double& boundary = is_u ? params_.u_boundary : params_.v_boundary;
+    const std::size_t head = ((first % 2 == 0) == is_u) ? 0 : 1;
+    for (std::size_t r0 = head; r0 < count; r0 += 2 * kWidth) {
+      const std::size_t live = std::min(kWidth, (count - r0 + 1) / 2);
+      std::array<const double*, kWidth> center{};
+      std::array<double*, kWidth> out{};
+      LaneColumns left{}, partner{}, right{};
+      for (std::size_t k = 0; k < kWidth; ++k) {
+        const std::size_t r = r0 + 2 * (k < live ? k : 0);
+        const std::size_t i = (first + r) / 2;
+        const double* ext = rows + r * pts;  // extended row r: slot 0
+        center[k] = ext + 2 * pts;
+        out[k] = new_rows.data() + r * pts;
+        // u_i reads v_i (slot 3); v_i reads u_i (slot 1).
+        partner.lane[k] = Column{ext + (is_u ? 3 : 1) * pts, 1};
+        left.lane[k] = i == 0 ? Column{&boundary, 0} : Column{ext, 1};
+        right.lane[k] = i + 1 == n_grid ? Column{&boundary, 0}
+                                        : Column{ext + 4 * pts, 1};
+      }
+      const ScalarRowResult group =
+          is_u ? scalar_newton_lane_rows(
+                     center, out, live, pts, dt, opts,
+                     [&](std::size_t step) {
+                       const Lanes v = partner(step);
+                       const Lanes u_left = left(step);
+                       const Lanes u_right = right(step);
+                       return [=](Lanes u) {
+                         return lanes::Eval{
+                             1.0 + u * u * v - 4.0 * u +
+                                 c * (u_left - 2.0 * u + u_right),
+                             2.0 * u * v - 4.0 - 2.0 * c};
+                       };
+                     })
+               : scalar_newton_lane_rows(
+                     center, out, live, pts, dt, opts,
+                     [&](std::size_t step) {
+                       const Lanes u = partner(step);
+                       const Lanes v_left = left(step);
+                       const Lanes v_right = right(step);
+                       return [=](Lanes v) {
+                         return lanes::Eval{
+                             3.0 * u - u * u * v +
+                                 c * (v_left - 2.0 * v + v_right),
+                             -u * u - 2.0 * c};
+                       };
+                     });
+      fold_row_result(total, group);
+    }
   }
-  const Column u_row{rows + pts, 1};  // u_i
-  return scalar_newton_row(
-      center, new_row, dt, opts, [=](std::size_t step, double) {
-        const double u = u_row(step);
-        const double v_left = left(step);
-        const double v_right = right(step);
-        return [=](double v) {
-          return ScalarEval{
-              3.0 * u - u * u * v + c * (v_left - 2.0 * v + v_right),
-              -u * u - 2.0 * c};
-        };
-      });
+  return total;
 }
 
 void Brusselator::initial_state(std::span<double> y) const {

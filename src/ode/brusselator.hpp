@@ -52,11 +52,14 @@ class Brusselator final : public OdeSystem {
   void jacobian_band_range(std::size_t first, std::size_t count, double t,
                            std::span<const double> y_ext,
                            std::span<double> band_rows) const override;
-  ScalarRowResult scalar_euler_row(std::size_t j, double dt,
-                                   std::span<const double> old_rows,
-                                   std::span<double> new_row,
-                                   const NewtonOptions& opts,
-                                   std::span<double> window) const override;
+  /// Lane-parallel: same-parity rows sweep four at a time through
+  /// scalar_newton_lane_rows (newton.hpp), bitwise equal to the default.
+  ScalarRowResult scalar_euler_rows(std::size_t first, std::size_t count,
+                                    double dt,
+                                    std::span<const double> old_rows,
+                                    std::span<double> new_rows,
+                                    const NewtonOptions& opts,
+                                    std::span<double> window) const override;
   void initial_state(std::span<double> y) const override;
 
  private:

@@ -17,6 +17,9 @@
 // residual-driven load balancing exploits (paper §2).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -186,8 +189,8 @@ ScalarRowResult scalar_newton_row(std::span<const double> old_center,
 
 /// Evaluator over a materialized stencil window: writes the iterate into
 /// the center slot and calls the per-component virtuals. This is the
-/// reference arithmetic every fused OdeSystem::scalar_euler_row override
-/// must reproduce bit for bit.
+/// reference arithmetic every OdeSystem::scalar_euler_rows override must
+/// reproduce bit for bit.
 inline auto window_evaluator(const OdeSystem& system, std::size_t j,
                              double t, std::span<double> window) {
   return [&system, j, t, window](double w) {
@@ -195,6 +198,181 @@ inline auto window_evaluator(const OdeSystem& system, std::size_t j,
     return ScalarEval{system.rhs_component(j, t, window),
                       system.rhs_partial(j, j, t, window)};
   };
+}
+
+/// Lane types of the lockstep scalar Newton core: four independent scalar
+/// problems held as two 16-byte vectors of doubles (the GCC/Clang vector
+/// extension, so SSE2 on x86-64 without any -march flag). Vector
+/// arithmetic is elementwise IEEE, and repro_ode builds with
+/// -ffp-contract=off, so every lane rounds exactly like the scalar
+/// expression it is spelled as. Selects are bitwise and/or on masks, so a
+/// lane's outcome never becomes a branch.
+namespace lanes {
+
+inline constexpr std::size_t kWidth = 4;
+
+using Pair [[gnu::vector_size(16)]] = double;
+/// The mask type a Pair comparison yields: per element all ones or zero.
+using PairBits = decltype(Pair{} < Pair{});
+
+/// Four integer lanes: comparison masks, or per-lane counters.
+struct Ints {
+  PairBits lo{};
+  PairBits hi{};
+  auto operator[](std::size_t k) const { return k < 2 ? lo[k] : hi[k - 2]; }
+};
+inline Ints operator&(Ints a, Ints b) { return {a.lo & b.lo, a.hi & b.hi}; }
+inline Ints operator|(Ints a, Ints b) { return {a.lo | b.lo, a.hi | b.hi}; }
+inline Ints operator~(Ints a) { return {~a.lo, ~a.hi}; }
+inline Ints operator+(Ints a, Ints b) { return {a.lo + b.lo, a.hi + b.hi}; }
+inline bool any(Ints m) {
+  const PairBits folded = m.lo | m.hi;
+  return (folded[0] | folded[1]) != 0;
+}
+/// Adds one to every lane whose mask is set (a set mask is -1).
+inline Ints count_set(Ints counter, Ints mask) {
+  return {counter.lo - mask.lo, counter.hi - mask.hi};
+}
+
+/// Four double lanes. Converts implicitly from a scalar (splat), so lane
+/// expressions read exactly like their scalar originals.
+struct Lanes {
+  Pair lo{};
+  Pair hi{};
+  Lanes() = default;
+  Lanes(Pair l, Pair h) : lo(l), hi(h) {}
+  Lanes(double x) : lo(Pair{x, x}), hi(Pair{x, x}) {}  // implicit: splat
+  Lanes(double a, double b, double c, double d)
+      : lo(Pair{a, b}), hi(Pair{c, d}) {}
+  double operator[](std::size_t k) const { return k < 2 ? lo[k] : hi[k - 2]; }
+};
+inline Lanes operator+(Lanes a, Lanes b) { return {a.lo + b.lo, a.hi + b.hi}; }
+inline Lanes operator-(Lanes a, Lanes b) { return {a.lo - b.lo, a.hi - b.hi}; }
+inline Lanes operator*(Lanes a, Lanes b) { return {a.lo * b.lo, a.hi * b.hi}; }
+inline Lanes operator/(Lanes a, Lanes b) { return {a.lo / b.lo, a.hi / b.hi}; }
+inline Lanes operator-(Lanes a) { return {-a.lo, -a.hi}; }
+inline Ints operator<(Lanes a, Lanes b) { return {a.lo < b.lo, a.hi < b.hi}; }
+inline Ints operator<=(Lanes a, Lanes b) {
+  return {a.lo <= b.lo, a.hi <= b.hi};
+}
+inline Ints operator>(Lanes a, Lanes b) { return {a.lo > b.lo, a.hi > b.hi}; }
+
+/// Per lane: `mask ? a : b`, bitwise (no branch, no vector ?:).
+inline Lanes select(Ints mask, Lanes a, Lanes b) {
+  const auto pick = [](PairBits m, Pair x, Pair y) {
+    return std::bit_cast<Pair>((m & std::bit_cast<PairBits>(x)) |
+                               (~m & std::bit_cast<PairBits>(y)));
+  };
+  return {pick(mask.lo, a.lo, b.lo), pick(mask.hi, a.hi, b.hi)};
+}
+/// Per lane std::abs: the sign bit cleared (NaN stays NaN).
+inline Lanes abs(Lanes x) {
+  const PairBits magnitude = ~std::bit_cast<PairBits>(Pair{-0.0, -0.0});
+  return {std::bit_cast<Pair>(std::bit_cast<PairBits>(x.lo) & magnitude),
+          std::bit_cast<Pair>(std::bit_cast<PairBits>(x.hi) & magnitude)};
+}
+
+/// f and its diagonal partial at four iterates (ScalarEval per lane).
+struct Eval {
+  Lanes f;
+  Lanes df;
+};
+
+}  // namespace lanes
+
+/// Four scalar_newton solves in lockstep.
+struct LaneSolveResult {
+  lanes::Lanes value;
+  lanes::Ints iterations;  // per lane, as ScalarSolveResult::iterations
+  lanes::Ints converged;   // per lane mask
+};
+
+/// scalar_newton on four independent lanes at once, one iteration at a
+/// time. Every lane performs exactly scalar_newton's operations in its
+/// order — the check before the update, the min_derivative clamp (sign
+/// taken from `gp < 0`), `value -= delta` on convergence and no update
+/// once the budget is exhausted — so each lane's value, iteration count
+/// and flag are bitwise those of scalar_newton on that lane's problem.
+/// Lanes that have finished keep evaluating in lockstep (their results
+/// are masked off); the loop ends when no lane is still iterating.
+/// `eval(lanes::Lanes)` returns lanes::Eval at the four iterates.
+template <typename Eval>
+LaneSolveResult scalar_newton_lanes(lanes::Lanes guess, lanes::Lanes y_prev,
+                                    double dt, const NewtonOptions& opts,
+                                    Eval&& eval) {
+  using lanes::Ints;
+  using lanes::Lanes;
+  LaneSolveResult result;
+  result.value = guess;
+  Ints iterating = ~Ints{};
+  const Lanes min_derivative = opts.min_derivative;
+  const Lanes clamp_low = -opts.min_derivative;
+  for (std::size_t it = 0;; ++it) {
+    const lanes::Eval e = eval(result.value);
+    const Lanes g = result.value - y_prev - dt * e.f;
+    Lanes gp = 1.0 - dt * e.df;
+    gp = lanes::select(lanes::abs(gp) < min_derivative,
+                       lanes::select(gp < 0.0, clamp_low, min_derivative),
+                       gp);
+    const Lanes delta = g / gp;
+    const Ints done = iterating & (lanes::abs(delta) <= opts.tolerance);
+    result.converged = result.converged | done;
+    // Converged lanes apply the final correction; at the budget's end
+    // the still-iterating lanes stop without one.
+    const Ints update = it == opts.max_iterations ? done : iterating;
+    result.value = lanes::select(update, result.value - delta, result.value);
+    if (it == opts.max_iterations) break;  // budget exhausted
+    iterating = iterating & ~done;
+    result.iterations = lanes::count_set(result.iterations, iterating);
+    if (!lanes::any(iterating)) break;
+  }
+  return result;
+}
+
+/// scalar_newton_row on up to four rows in lockstep. Lane k sweeps the
+/// row whose warm starts are old_center[k][0 .. pts) into
+/// new_rows[k][0 .. pts) (new_rows[k][0] is the initial value), exactly as
+/// scalar_newton_row would. Only lanes k < live are real rows: the others
+/// must repeat lane 0's pointers — they compute lane 0's problem again
+/// and are neither stored nor folded. `eval_at(step)` returns the
+/// evaluator of that step (a callable from lanes::Lanes to lanes::Eval);
+/// it reads the frozen neighbors and must not touch new_rows. Returns the
+/// live rows' results folded as fold_row_result does.
+template <typename EvalAt>
+ScalarRowResult scalar_newton_lane_rows(
+    const std::array<const double*, lanes::kWidth>& old_center,
+    const std::array<double*, lanes::kWidth>& new_rows, std::size_t live,
+    std::size_t pts, double dt, const NewtonOptions& opts,
+    EvalAt&& eval_at) {
+  using lanes::Ints;
+  using lanes::Lanes;
+  const auto column = [](const auto& rows, std::size_t step) {
+    return Lanes(rows[0][step], rows[1][step], rows[2][step], rows[3][step]);
+  };
+  Lanes y_prev = column(new_rows, 0);
+  Lanes residual = 0.0;
+  Ints iterations;
+  Ints all_converged = ~Ints{};
+  for (std::size_t step = 1; step < pts; ++step) {
+    const Lanes prev = column(old_center, step);
+    const LaneSolveResult solve =
+        scalar_newton_lanes(prev, y_prev, dt, opts, eval_at(step));
+    new_rows[0][step] = solve.value.lo[0];
+    if (live > 1) new_rows[1][step] = solve.value.lo[1];
+    if (live > 2) new_rows[2][step] = solve.value.hi[0];
+    if (live > 3) new_rows[3][step] = solve.value.hi[1];
+    const Lanes diff = lanes::abs(solve.value - prev);
+    residual = lanes::select(diff > residual, diff, residual);
+    iterations = iterations + solve.iterations;
+    all_converged = all_converged & solve.converged;
+    y_prev = solve.value;
+  }
+  ScalarRowResult folded;
+  for (std::size_t k = 0; k < std::min(live, lanes::kWidth); ++k)
+    fold_row_result(folded,
+                    {static_cast<std::size_t>(iterations[k]),
+                     all_converged[k] != 0, residual[k]});
+  return folded;
 }
 
 /// Solves w = y_prev + dt * f_j(t_next, y | y_j := w) for component j.

@@ -65,23 +65,45 @@ void OdeSystem::jacobian_band_range(std::size_t first, std::size_t count,
                       band_rows.subspan(r * width, width));
 }
 
-ScalarRowResult OdeSystem::scalar_euler_row(std::size_t j, double dt,
-                                            std::span<const double> old_rows,
-                                            std::span<double> new_row,
-                                            const NewtonOptions& opts,
-                                            std::span<double> window) const {
+std::size_t OdeSystem::scalar_rows_points(
+    std::size_t first, std::size_t count, std::span<const double> old_rows,
+    std::span<const double> new_rows, std::span<const double> window) const {
+  const std::size_t n = dimension();
+  if (first > n || count > n - first)
+    throw std::out_of_range("scalar_euler_rows: range outside the system");
   const std::size_t width = window_size();
-  const std::size_t pts = new_row.size();
-  if (pts == 0 || old_rows.size() != width * pts || window.size() != width)
-    throw std::invalid_argument("scalar_euler_row: size mismatch");
+  const std::size_t pts = count == 0 ? 0 : new_rows.size() / count;
+  if ((count > 0 && pts == 0) || new_rows.size() != count * pts ||
+      old_rows.size() != (count + width - 1) * pts || window.size() != width)
+    throw std::invalid_argument("scalar_euler_rows: size mismatch");
+  return pts;
+}
+
+ScalarRowResult OdeSystem::scalar_euler_rows(std::size_t first,
+                                             std::size_t count, double dt,
+                                             std::span<const double> old_rows,
+                                             std::span<double> new_rows,
+                                             const NewtonOptions& opts,
+                                             std::span<double> window) const {
+  const std::size_t pts =
+      scalar_rows_points(first, count, old_rows, new_rows, window);
+  const std::size_t width = window_size();
   const std::size_t s = width / 2;
-  return scalar_newton_row(
-      old_rows.subspan(s * pts, pts), new_row, dt, opts,
-      [&](std::size_t step, double t_next) {
-        for (std::size_t slot = 0; slot < width; ++slot)
-          window[slot] = old_rows[slot * pts + step];
-        return window_evaluator(*this, j, t_next, window);
-      });
+  ScalarRowResult total;
+  for (std::size_t r = 0; r < count; ++r) {
+    const std::size_t j = first + r;
+    const auto rows = old_rows.subspan(r * pts, width * pts);
+    fold_row_result(
+        total,
+        scalar_newton_row(
+            rows.subspan(s * pts, pts), new_rows.subspan(r * pts, pts), dt,
+            opts, [&](std::size_t step, double t_next) {
+              for (std::size_t slot = 0; slot < width; ++slot)
+                window[slot] = rows[slot * pts + step];
+              return window_evaluator(*this, j, t_next, window);
+            }));
+  }
+  return total;
 }
 
 void OdeSystem::rhs_full(double t, std::span<const double> y,

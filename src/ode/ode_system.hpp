@@ -16,13 +16,23 @@ namespace aiac::ode {
 
 struct NewtonOptions;  // newton.hpp
 
-/// Outcome of one component's scalar implicit-Euler sweep over the time
-/// window (OdeSystem::scalar_euler_row).
+/// Outcome of a scalar implicit-Euler sweep over the time window, of one
+/// component or folded over a range of them (OdeSystem::scalar_euler_rows).
 struct ScalarRowResult {
   std::size_t iterations = 0;  // Newton iterations summed over the steps
   bool all_converged = true;   // every step met the tolerance
   double residual = 0.0;       // max over the steps of |new - old|
 };
+
+/// Folds one row's result into a range total: iterations summed, flags
+/// and-ed, residual max (a NaN row residual never replaces the total, as
+/// a NaN step never replaces a row's). Order-independent.
+inline void fold_row_result(ScalarRowResult& total,
+                            const ScalarRowResult& row) {
+  total.iterations += row.iterations;
+  total.all_converged &= row.all_converged;
+  if (row.residual > total.residual) total.residual = row.residual;
+}
 
 /// Fixed-size view of the components a single f_j may read:
 /// window[stencil + d] holds y_{j+d} for d in [-stencil, +stencil].
@@ -82,26 +92,32 @@ class OdeSystem {
                                    double t, std::span<const double> y_ext,
                                    std::span<double> band_rows) const;
 
-  /// Scalar Jacobi sweep of component j over the whole time window: the
-  /// inner `for t` of paper Algorithm 1, one scalar implicit-Euler Newton
-  /// solve per step (newton.hpp scalar_newton_row). `old_rows` holds the
-  /// frozen previous iterate of components j - s .. j + s, window_size()
-  /// rows of new_row.size() points each (row slot s is component j, the
-  /// warm start); rows outside [0, dimension()) are present but never
-  /// read. new_row[0] is the initial value; steps 1.. are written.
-  /// `window` is window_size() doubles of scratch.
+  /// Scalar Jacobi sweep of the components [first, first + count) over
+  /// the whole time window: the paper's Algorithm 1 loop, one scalar
+  /// implicit-Euler Newton solve per component and step (newton.hpp
+  /// scalar_newton_row). `old_rows` holds the frozen previous iterate of
+  /// components first - s .. first + count - 1 + s, count + 2s rows of
+  /// pts points each laid out as rhs_range's y_ext (extended row r + s is
+  /// component first + r, the warm start); rows outside [0, dimension())
+  /// are present but never read. `new_rows` holds the count owned rows
+  /// (pts = new_rows.size() / count): column 0 is the initial value,
+  /// columns 1.. are written. `window` is window_size() doubles of
+  /// scratch. Returns the rows' results folded by fold_row_result.
   ///
-  /// The default stages each step's window into `window` and evaluates
-  /// through rhs_component / rhs_partial, so a wrapping system that
-  /// overrides only the per-component virtuals sees (and counts) every
-  /// call. Overrides fuse the evaluation into one loop without the
-  /// per-step virtual dispatch and must be bitwise equal to the default:
-  /// same values, iteration counts, flags and residual (DESIGN.md §10).
-  virtual ScalarRowResult scalar_euler_row(std::size_t j, double dt,
-                                           std::span<const double> old_rows,
-                                           std::span<double> new_row,
-                                           const NewtonOptions& opts,
-                                           std::span<double> window) const;
+  /// Every neighbor is read from old_rows, so the rows are independent:
+  /// an override may sweep them in any order or together. The default
+  /// sweeps one row at a time, staging each step's window into `window`
+  /// and evaluating through rhs_component / rhs_partial, so a wrapping
+  /// system that overrides only the per-component virtuals sees (and
+  /// counts) every call. Overrides fuse the evaluation and must be
+  /// bitwise equal to the default: same values, iteration count, flag and
+  /// residual (DESIGN.md §10).
+  virtual ScalarRowResult scalar_euler_rows(std::size_t first,
+                                            std::size_t count, double dt,
+                                            std::span<const double> old_rows,
+                                            std::span<double> new_rows,
+                                            const NewtonOptions& opts,
+                                            std::span<double> window) const;
 
   /// Initial condition y(0) into `y` (size dimension()).
   virtual void initial_state(std::span<double> y) const = 0;
@@ -120,6 +136,15 @@ class OdeSystem {
   /// zero-filling out-of-range slots (which rhs_component never reads).
   void extract_window(std::span<const double> y, std::size_t j,
                       std::span<double> window) const;
+
+ protected:
+  /// Shape checks shared by scalar_euler_rows implementations; returns
+  /// pts (0 when count is 0). Throws std::out_of_range when the range
+  /// leaves [0, dimension()) and std::invalid_argument on a size mismatch.
+  std::size_t scalar_rows_points(std::size_t first, std::size_t count,
+                                 std::span<const double> old_rows,
+                                 std::span<const double> new_rows,
+                                 std::span<const double> window) const;
 };
 
 }  // namespace aiac::ode

@@ -21,6 +21,12 @@ std::span<const double> Trajectory::row(std::size_t component) const {
   return {data_.data() + component * (num_steps_ + 1), num_steps_ + 1};
 }
 
+std::span<double> Trajectory::rows(std::size_t first, std::size_t count) {
+  if (first > components_ || count > components_ - first)
+    throw std::out_of_range("Trajectory::rows");
+  return {data_.data() + first * (num_steps_ + 1), count * (num_steps_ + 1)};
+}
+
 std::vector<double> Trajectory::column(std::size_t step) const {
   if (step > num_steps_) throw std::out_of_range("Trajectory::column");
   std::vector<double> state(components_);

@@ -34,6 +34,8 @@ class Trajectory {
   /// Full row of one component (num_steps + 1 values).
   std::span<double> row(std::size_t component);
   std::span<const double> row(std::size_t component) const;
+  /// `count` consecutive rows from `first`, contiguous row-major.
+  std::span<double> rows(std::size_t first, std::size_t count);
 
   /// Column snapshot: value of every component at a step.
   std::vector<double> column(std::size_t step) const;

@@ -310,24 +310,25 @@ void WaveformBlock::sweep_chunk_block(ChunkState& cs) {
 void WaveformBlock::sweep_chunk_scalar(ChunkState& cs) {
   const std::size_t w = 2 * stencil_ + 1;
   const std::size_t pts = num_steps_ + 1;
+  const std::size_t nb = cs.hi - cs.lo;
+  cs.wrote = nb > 0;
+  if (nb == 0) return;
   if (cs.window.size() != w) cs.window.resize(w);
   // Paper Algorithm 1 loop order: component outer, time inner — one
-  // scalar_euler_row call per owned row. Every neighboring component
-  // (local ones included) is read from Yold, so rows are independent and
-  // any chunking is bitwise-invariant here. Extended rows r .. r + 2s of
-  // old_ are components j - s .. j + s, contiguous at stride pts.
-  const std::span<const double> old_rows = old_.raw();
-  for (std::size_t r = cs.lo; r < cs.hi; ++r) {
-    const ScalarRowResult row = system_->scalar_euler_row(
-        first_ + r, dt_, old_rows.subspan(r * pts, w * pts),
-        new_.row(stencil_ + r), newton_, cs.window);
-    if (row.residual > cs.residual) cs.residual = row.residual;
-    cs.newton_iterations += row.iterations;
-    cs.check_units += num_steps_;
-    cs.iter_units += row.iterations;
-    cs.all_converged &= row.all_converged;
-  }
-  cs.wrote = cs.hi > cs.lo;
+  // scalar_euler_rows call for the chunk's owned rows. Every neighboring
+  // component (local ones included) is read from Yold, so rows are
+  // independent and any chunking is bitwise-invariant here. Extended
+  // rows [lo, hi + 2s) of old_ are components [first + lo - s,
+  // first + hi + s), contiguous at stride pts.
+  const ScalarRowResult rows = system_->scalar_euler_rows(
+      first_ + cs.lo, nb, dt_,
+      old_.raw().subspan(cs.lo * pts, (nb + w - 1) * pts),
+      new_.rows(stencil_ + cs.lo, nb), newton_, cs.window);
+  if (rows.residual > cs.residual) cs.residual = rows.residual;
+  cs.newton_iterations += rows.iterations;
+  cs.check_units += nb * num_steps_;
+  cs.iter_units += rows.iterations;
+  cs.all_converged &= rows.all_converged;
 }
 
 void WaveformBlock::boundary_for_left(BoundaryMessage& msg) const {

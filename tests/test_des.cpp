@@ -103,6 +103,64 @@ TEST(Simulator, EventBudgetGuardsRunawayLoops) {
   EXPECT_THROW(sim.run(/*max_events=*/100), std::runtime_error);
 }
 
+TEST(Simulator, RunUntilSkipsACancelledHeadBeforePeeking) {
+  // A cancelled event at the head must not let run_until peek its time
+  // and then execute the next live event past t_end.
+  Simulator sim;
+  int fired = 0;
+  const EventId a = sim.schedule_at(1.0, [&] { ++fired; });
+  sim.schedule_at(5.0, [&] { ++fired; });
+  ASSERT_TRUE(sim.cancel(a));
+  sim.run_until(2.0);
+  EXPECT_EQ(fired, 0);
+  EXPECT_DOUBLE_EQ(sim.now(), 2.0);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_DOUBLE_EQ(sim.now(), 5.0);
+}
+
+TEST(Simulator, EventBudgetAllowsExactlyMaxEvents) {
+  const auto schedule_four = [](Simulator& sim) {
+    for (int k = 1; k <= 4; ++k)
+      sim.schedule_at(static_cast<double>(k), [] {});
+  };
+  {
+    Simulator sim;
+    schedule_four(sim);
+    EXPECT_NO_THROW(sim.run(/*max_events=*/4));
+    EXPECT_EQ(sim.events_executed(), 4u);
+  }
+  {
+    Simulator sim;
+    schedule_four(sim);
+    EXPECT_THROW(sim.run(/*max_events=*/3), std::runtime_error);
+    EXPECT_EQ(sim.events_executed(), 3u);
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  {
+    Simulator sim;
+    schedule_four(sim);
+    EXPECT_NO_THROW(sim.run_until(10.0, /*max_events=*/4));
+    EXPECT_EQ(sim.events_executed(), 4u);
+  }
+  {
+    Simulator sim;
+    schedule_four(sim);
+    EXPECT_THROW(sim.run_until(10.0, /*max_events=*/3), std::runtime_error);
+    EXPECT_EQ(sim.events_executed(), 3u);
+  }
+  {
+    // A cancelled tail event is not charged to the budget.
+    Simulator sim;
+    schedule_four(sim);
+    const EventId extra = sim.schedule_at(9.0, [] {});
+    sim.cancel(extra);
+    EXPECT_NO_THROW(sim.run(/*max_events=*/4));
+    EXPECT_EQ(sim.events_executed(), 4u);
+  }
+}
+
 TEST(Simulator, StepReturnsFalseWhenEmpty) {
   Simulator sim;
   EXPECT_FALSE(sim.step());
