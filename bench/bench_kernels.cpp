@@ -32,6 +32,7 @@
 
 #include "core/config.hpp"
 #include "core/sim_engine.hpp"
+#include "des/simulator.hpp"
 #include "grid/grid.hpp"
 #include "linalg/banded_matrix.hpp"
 #include "ode/brusselator.hpp"
@@ -39,6 +40,7 @@
 #include "ode/waveform_block.hpp"
 #include "runtime/worker_pool.hpp"
 #include "util/cli.hpp"
+#include "util/rng.hpp"
 
 // ---- Counting allocator -------------------------------------------------
 // Every benchmark snapshots this counter around its timed region, so
@@ -376,6 +378,42 @@ SweepBenchStats run_waveform_sweeps(
   stats.allocations = allocs() - a0;
   if (sink < 0.0) std::cerr << "";  // keep `sink` observable
   return stats;
+}
+
+// ---- The virtual-time event queue ---------------------------------------
+
+/// Nanoseconds per executed event of a des::Simulator holding `depth`
+/// pending events, each executed event scheduling one successor: at
+/// random delays in [0, 1) (`random`, the engine's shape) or after every
+/// pending event (a deep in-order schedule). The queue is warmed by one
+/// untimed round, so the timed rounds measure the steady state; the
+/// median of kMaxRounds rounds of `events` steps is reported.
+BenchResult run_event_queue(const char* name, std::uint32_t depth,
+                            bool random, std::size_t events) {
+  util::Rng rng(3);
+  std::array<double, 4096> delays{};
+  for (double& d : delays)
+    d = random ? rng.uniform(0.0, 1.0) : static_cast<double>(depth);
+  des::Simulator sim;
+  std::size_t next = 0;
+  for (std::uint32_t i = 0; i < depth; ++i)
+    sim.schedule_at(random ? delays[next++ % delays.size()] : i, 0, i);
+  const auto successor = [&](std::uint32_t kind, std::uint32_t arg) {
+    sim.schedule_after(delays[next++ % delays.size()], kind, arg);
+  };
+  const auto round = [&] {
+    for (std::size_t e = 0; e < events; ++e) sim.step(successor);
+  };
+  round();  // warm-up: the event array reaches its depth
+  const std::uint64_t a0 = allocs();
+  const double secs = median_round_seconds(kMaxRounds, round);
+  const std::uint64_t da = allocs() - a0;
+  BenchResult r;
+  r.name = name;
+  r.ns_per_step = secs * 1e9 / static_cast<double>(events);
+  r.allocs_per_step =
+      static_cast<double>(da) / static_cast<double>(kMaxRounds * events);
+  return r;
 }
 
 // ---- End-to-end: a small fig5-style run ---------------------------------
@@ -736,6 +774,18 @@ int main(int argc, char** argv) {
     r.allocs_per_step =
         static_cast<double>(da) / static_cast<double>(cycles);
     results.push_back(r);
+  }
+
+  // -- The simulator's event queue at the virtual-time engine's depth
+  //    (fig5 runs hold 16 pending events on average, 25 at most) and at a
+  //    deep in-order schedule, where a sorted array must still append.
+  //    A round takes a few milliseconds, so quick runs keep the full size.
+  {
+    const std::size_t events = 200000;
+    results.push_back(
+        run_event_queue("des_event_queue_depth32", 32, true, events));
+    results.push_back(
+        run_event_queue("des_event_queue_inorder1000", 1000, false, events));
   }
 
   const double e2e = end_to_end_seconds(quick, 1);

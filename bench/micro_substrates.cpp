@@ -129,15 +129,46 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
     des::Simulator sim;
     int counter = 0;
-    for (int i = 0; i < 1000; ++i)
-      sim.schedule_at(static_cast<double>(i), [&counter] { ++counter; });
-    sim.run();
+    for (std::uint32_t i = 0; i < 1000; ++i)
+      sim.schedule_at(static_cast<double>(i), 0, i);
+    sim.run([&counter](std::uint32_t, std::uint32_t) { ++counter; });
     benchmark::DoNotOptimize(counter);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1000);
 }
 BENCHMARK(BM_SimulatorEventThroughput);
+
+// The queue at a steady population of pending events (range 0), each
+// executed event scheduling one successor. With range 1 set the delays
+// are random (the virtual-time engine's shape at depth ~32); otherwise
+// every successor lands after all pending events (a deep in-order
+// schedule). Items are executed events, so ns/item is the queue's
+// schedule + pop + dispatch cost at that depth.
+void BM_SimulatorSteadyDepth(benchmark::State& state) {
+  const auto depth = static_cast<std::uint32_t>(state.range(0));
+  const bool random = state.range(1) != 0;
+  util::Rng rng(3);
+  std::vector<double> delays(4096);
+  for (double& d : delays)
+    d = random ? rng.uniform(0.0, 1.0) : static_cast<double>(depth);
+  constexpr std::uint64_t kEvents = 100000;
+  for (auto _ : state) {
+    des::Simulator sim;
+    std::size_t next = 0;
+    for (std::uint32_t i = 0; i < depth; ++i)
+      sim.schedule_at(random ? delays[next++ & 4095] : i, 0, i);
+    std::uint64_t left = kEvents;
+    sim.run([&](std::uint32_t kind, std::uint32_t arg) {
+      if (left-- == 0) return sim.stop();
+      sim.schedule_after(delays[next++ & 4095], kind, arg);
+    });
+    benchmark::DoNotOptimize(next);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kEvents));
+}
+BENCHMARK(BM_SimulatorSteadyDepth)->Args({32, 1})->Args({1000, 0});
 
 void BM_MailboxPushPop(benchmark::State& state) {
   runtime::Mailbox<int> box;

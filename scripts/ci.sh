@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # CI pipeline: tier-1 (plain Release, full suite), then ThreadSanitizer and
 # AddressSanitizer+UBSan jobs over the runtime/chaos/algo/check-labelled
-# tests (the algo label covers the cross-backend engine-parity suite, the
-# check label the model-checker suite, the net label the socket backend's
-# wire-format fuzz + cross-engine parity + fault-path suite), then static
-# analysis.
+# tests (the algo label covers the cross-backend engine-parity suite and
+# the DES and virtual-time engine suites, the check label the
+# model-checker suite, the net label the socket backend's wire-format
+# fuzz + cross-engine parity + fault-path suite), then static analysis.
 #
 #   scripts/ci.sh            # everything
 #   scripts/ci.sh tier1      # just the plain build + full ctest

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -111,7 +113,10 @@ class SimEngine final : public algo::Transport,
 
   EngineResult run() {
     for (std::size_t p = 0; p < procs_.size(); ++p) try_start(p);
-    sim_.run(/*max_events=*/200'000'000ULL);
+    sim_.run([this](std::uint32_t kind, std::uint32_t arg) {
+               on_event(static_cast<EventKind>(kind), arg);
+             },
+             /*max_events=*/200'000'000ULL);
     return assemble_result();
   }
 
@@ -152,17 +157,10 @@ class SimEngine final : public algo::Transport,
     AIAC_DEBUG("lb") << "t=" << now_ << " proc " << src << " sends " << amount
                      << " components " << (to_left ? "left" : "right");
 
-    lb_link_inflight_[link] = payload;  // recoverable if we stop mid-flight
-    sim_.schedule_at(arrival, [this, dst, link,
-                               payload = std::move(payload), to_left] {
-      lb_link_inflight_[link].reset();
-      if (stopped_) return;
-      fleet_->core(dst).enqueue_migration(to_left ? Side::kRight : Side::kLeft,
-                                          payload);
-      // The link stays busy until the receiver absorbs the payload at its
-      // next iteration start, which serializes migrations per link.
-      if (procs_[dst].waiting || procs_[dst].dormant) try_start(dst);
-    });
+    // The payload waits on its link until it arrives (recoverable if we
+    // stop mid-flight); lb_link_busy_ keeps one migration per link.
+    lb_link_inflight_[link] = std::move(payload);
+    schedule(arrival, EventKind::kMigrationArrival, link);
   }
 
   void post_control(std::size_t src, std::size_t dst,
@@ -179,10 +177,9 @@ class SimEngine final : public algo::Transport,
       algo::emit_message(trace_, src, dst, now_, now_ + delay,
                          config_.control_message_bytes,
                          trace::MessageKind::kControl);
-    sim_.schedule_at(now_ + delay, [this, deliver = std::move(deliver)] {
-      if (stopped_) return;
-      deliver();
-    });
+    const std::size_t slot = acquire_control_slot();
+    control_[slot] = std::move(deliver);
+    schedule(now_ + delay, EventKind::kControl, slot);
   }
 
   // ---- algo::DetectionDriver ----------------------------------------
@@ -221,16 +218,87 @@ class SimEngine final : public algo::Transport,
                                        now_);
       ++result_control_messages_;
       result_bytes_ += config_.control_message_bytes;
-      sim_.schedule_at(now_ + delay, [this, p] {
-        procs_[p].halted = true;
-        if (std::all_of(procs_.begin(), procs_.end(),
-                        [](const Proc& q) { return q.halted; }))
-          stop_all(/*converged=*/true);
-      });
+      schedule(now_ + delay, EventKind::kHaltNotice, p);
     }
   }
 
  private:
+  /// What a simulator event record means; its arg is the index named.
+  enum class EventKind : std::uint32_t {
+    kStart,             // rank: begin the next iteration
+    kFinish,            // rank: the iteration in flight completes
+    kDepart,            // boundary slot: the message leaves its sender
+    kDeliver,           // boundary slot: the message reaches its receiver
+    kMigrationArrival,  // link: lb_link_inflight_[link] arrives
+    kHaltNotice,        // rank: the halt broadcast reaches it
+    kControl,           // control slot: run the posted delivery
+  };
+
+  void schedule(double t, EventKind kind, std::size_t index) {
+    sim_.schedule_at(t, static_cast<std::uint32_t>(kind),
+                     static_cast<std::uint32_t>(index));
+  }
+
+  /// The one dispatch point of the event loop.
+  void on_event(EventKind kind, std::size_t index) {
+    switch (kind) {
+      case EventKind::kStart: return start_iteration(index);
+      case EventKind::kFinish: return finish_iteration(index);
+      case EventKind::kDepart: return dispatch_boundary(index);
+      case EventKind::kDeliver: return deliver_boundary(index);
+      case EventKind::kMigrationArrival: return arrive_migration(index);
+      case EventKind::kHaltNotice: return receive_halt(index);
+      case EventKind::kControl: return deliver_control(index);
+    }
+  }
+
+  void arrive_migration(std::size_t link) {
+    if (stopped_) return;
+    ode::MigrationPayload payload = std::move(*lb_link_inflight_[link]);
+    lb_link_inflight_[link].reset();
+    const bool to_left =
+        payload.direction == ode::MigrationPayload::Direction::kToLeft;
+    const std::size_t dst = to_left ? link : link + 1;
+    fleet_->core(dst).enqueue_migration(to_left ? Side::kRight : Side::kLeft,
+                                        std::move(payload));
+    // The link stays busy until the receiver absorbs the payload at its
+    // next iteration start, which serializes migrations per link.
+    if (procs_[dst].waiting || procs_[dst].dormant) try_start(dst);
+  }
+
+  void receive_halt(std::size_t p) {
+    procs_[p].halted = true;
+    if (std::all_of(procs_.begin(), procs_.end(),
+                    [](const Proc& q) { return q.halted; }))
+      stop_all(/*converged=*/true);
+  }
+
+  void deliver_control(std::size_t slot) {
+    // Moved out first: the delivery may post further control messages,
+    // which can grow the table.
+    std::function<void()> deliver = std::move(control_[slot]);
+    control_[slot] = nullptr;
+    release_control_slot(slot);
+    if (stopped_) return;
+    deliver();
+  }
+
+  /// A free control slot; the table grows only while the number of
+  /// control messages in flight reaches a new high.
+  std::size_t acquire_control_slot() {
+    if (free_control_.empty()) {
+      free_control_.push_back(control_.size());
+      control_.emplace_back();
+    }
+    const std::size_t slot = free_control_.back();
+    free_control_.pop_back();
+    return slot;
+  }
+
+  void release_control_slot(std::size_t slot) {
+    free_control_.push_back(slot);
+  }
+
   /// Driver-side execution state; everything algorithmic is in the core.
   struct Proc {
     bool computing = false;
@@ -292,7 +360,7 @@ class SimEngine final : public algo::Transport,
     }
     proc.waiting = false;
     proc.computing = true;
-    sim_.schedule_after(0.0, [this, p] { start_iteration(p); });
+    schedule(sim_.now(), EventKind::kStart, p);
   }
 
   void start_iteration(std::size_t p) {
@@ -329,15 +397,14 @@ class SimEngine final : public algo::Transport,
     proc.stats = stats;
     proc.t_start = t_start;
     proc.components = components;
-    sim_.schedule_at(t_start + duration, [this, p] { finish_iteration(p); });
+    schedule(t_start + duration, EventKind::kFinish, p);
   }
 
   // ---- Boundary message slots ---------------------------------------
   //
   // Every boundary message in flight lives in a recycled slot from its
   // send to its delivery, and the events name it by index. The rows keep
-  // their capacity across reuse, and an event capturing [this, slot]
-  // fits std::function's inline buffer, so the steady-state message path
+  // their capacity across reuse, so the steady-state message path
   // allocates nothing.
 
   /// A free slot addressed src -> its `toward` neighbor. The table grows
@@ -376,7 +443,7 @@ class SimEngine final : public algo::Transport,
   void schedule_departure(std::size_t slot) {
     const double depart =
         slots_[slot].to_left ? staged_left_depart_ : staged_right_depart_;
-    sim_.schedule_at(depart, [this, slot] { dispatch_boundary(slot); });
+    schedule(depart, EventKind::kDepart, slot);
   }
 
   /// Per-directed-link FIFO: the grid's data channels are TCP streams, so
@@ -441,7 +508,7 @@ class SimEngine final : public algo::Transport,
     result_bytes_ += wire_bytes;
     algo::emit_message(trace_, src, dst, sent, arrival, wire_bytes,
                        trace::MessageKind::kBoundaryData);
-    sim_.schedule_at(arrival, [this, slot] { deliver_boundary(slot); });
+    schedule(arrival, EventKind::kDeliver, slot);
   }
 
   void deliver_boundary(std::size_t slot) {
@@ -639,6 +706,10 @@ class SimEngine final : public algo::Transport,
   /// recyclable ones.
   std::vector<BoundarySlot> slots_;
   std::vector<std::size_t> free_slots_;
+  /// Control deliveries in flight (post_control closures), by slot index;
+  /// free_control_ lists the recyclable ones.
+  std::vector<std::function<void()>> control_;
+  std::vector<std::size_t> free_control_;
   /// Byte-accounting planners per directed link (empty when delta framing
   /// is disabled) and the per-link comms tallies they feed. The event
   /// loop is single-threaded, so one delta scratch serves every link.

@@ -1,90 +1,64 @@
 #include "des/simulator.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace aiac::des {
 
-EventId Simulator::schedule_at(SimTime t, std::function<void()> fn) {
-  if (!(t >= now_) || std::isnan(t))
+EventId Simulator::schedule_at(SimTime t, std::uint32_t kind,
+                               std::uint32_t arg) {
+  if (!(t >= now_))  // also rejects NaN
     throw std::invalid_argument("Simulator::schedule_at: time in the past");
   const std::uint64_t seq = next_sequence_++;
-  queue_.push(Event{t, seq, std::move(fn)});
+  // Earlier than every pending record (the engine's iteration start, due
+  // at now()): take the consumed slot in front of the head.
+  if (head_ > 0 && (head_ == tail_ || t < queue_[head_].time)) {
+    queue_[--head_] = Event{t, seq, kind, arg};
+    return EventId{seq};
+  }
+  if (tail_ == queue_.size()) make_tail_room();
+  // Locate from the tail, shifting later records up as we go. The new
+  // record carries the largest sequence, so it lands after every record
+  // at time <= t: FIFO among simultaneous events, and an in-order
+  // schedule appends without moving anything.
+  std::size_t pos = tail_++;
+  while (pos > head_ && queue_[pos - 1].time > t) {
+    queue_[pos] = queue_[pos - 1];
+    --pos;
+  }
+  queue_[pos] = Event{t, seq, kind, arg};
   return EventId{seq};
 }
 
-EventId Simulator::schedule_after(SimTime delay, std::function<void()> fn) {
-  if (!(delay >= 0.0) || std::isnan(delay))
+EventId Simulator::schedule_after(SimTime delay, std::uint32_t kind,
+                                  std::uint32_t arg) {
+  if (!(delay >= 0.0))  // also rejects NaN
     throw std::invalid_argument("Simulator::schedule_after: negative delay");
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-bool Simulator::is_cancelled(std::uint64_t seq) const noexcept {
-  return std::find(cancelled_.begin(), cancelled_.end(), seq) !=
-         cancelled_.end();
+  return schedule_at(now_ + delay, kind, arg);
 }
 
 bool Simulator::cancel(EventId id) {
-  if (id.value == 0 || id.value >= next_sequence_) return false;
-  if (is_cancelled(id.value)) return false;
-  cancelled_.push_back(id.value);
-  ++cancelled_in_queue_;
+  const auto first = queue_.begin() + static_cast<std::ptrdiff_t>(head_);
+  const auto last = queue_.begin() + static_cast<std::ptrdiff_t>(tail_);
+  const auto it = std::find_if(first, last, [id](const Event& ev) {
+    return ev.sequence == id.value;
+  });
+  if (it == last) return false;  // executed, cancelled, or never issued
+  std::copy(it + 1, last, it);
+  --tail_;
   return true;
 }
 
-void Simulator::drop_cancelled_heads() {
-  if (cancelled_in_queue_ == 0) return;
-  while (!queue_.empty() && is_cancelled(queue_.top().sequence)) {
-    const std::uint64_t seq = queue_.top().sequence;
-    queue_.pop();
-    cancelled_.erase(std::remove(cancelled_.begin(), cancelled_.end(), seq),
-                     cancelled_.end());
-    --cancelled_in_queue_;
+void Simulator::make_tail_room() {
+  const std::size_t live = tail_ - head_;
+  if (head_ > 0 && head_ >= live) {
+    std::copy(queue_.begin() + static_cast<std::ptrdiff_t>(head_),
+              queue_.begin() + static_cast<std::ptrdiff_t>(tail_),
+              queue_.begin());
+    head_ = 0;
+    tail_ = live;
+    return;
   }
-}
-
-bool Simulator::has_live_event() {
-  drop_cancelled_heads();
-  return !queue_.empty() && !stopped_;
-}
-
-void Simulator::execute_head() {
-  // priority_queue::top returns const&; move out via const_cast is the
-  // standard idiom to avoid copying the std::function.
-  Event ev = std::move(const_cast<Event&>(queue_.top()));
-  queue_.pop();
-  now_ = ev.time;
-  ++executed_;
-  ev.fn();
-}
-
-bool Simulator::step() {
-  if (!has_live_event()) return false;
-  execute_head();
-  return true;
-}
-
-void Simulator::run(std::uint64_t max_events) {
-  // The budget is checked before an event executes: a run of exactly
-  // max_events events completes, one more throws with max_events done.
-  std::uint64_t budget = max_events;
-  while (has_live_event()) {
-    if (budget-- == 0)
-      throw std::runtime_error("Simulator::run: event budget exhausted");
-    execute_head();
-  }
-}
-
-void Simulator::run_until(SimTime t_end, std::uint64_t max_events) {
-  std::uint64_t budget = max_events;
-  // has_live_event() drops cancelled heads first, so the peeked time is
-  // that of the event executed next.
-  while (has_live_event() && queue_.top().time <= t_end) {
-    if (budget-- == 0)
-      throw std::runtime_error("Simulator::run_until: event budget exhausted");
-    execute_head();
-  }
-  if (!stopped_) now_ = std::max(now_, t_end);
+  queue_.resize(std::max<std::size_t>(16, 2 * queue_.size()));
 }
 
 }  // namespace aiac::des

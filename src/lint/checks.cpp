@@ -217,6 +217,17 @@ std::vector<std::string> default_hot_registry() {
       "WaveformBlock::boundary_for_right",
       "WaveformBlock::extract_for_left",
       "WaveformBlock::extract_for_right",
+      // The virtual-time simulator's schedule and execute path: every
+      // simulated event is scheduled and popped through these, then
+      // dispatched by the engine's one handler (a call through the
+      // handler template parameter, which the token graph cannot follow,
+      // so the dispatch point is listed too).
+      "Simulator::schedule_at",
+      "Simulator::schedule_after",
+      "Simulator::step",
+      "Simulator::run",
+      "Simulator::run_until",
+      "SimEngine::on_event",
       // Socket transport steady-state send/receive paths (PR 5).
       "SocketTransport::send_boundary",
       "SocketTransport::send_migration",

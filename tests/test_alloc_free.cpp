@@ -6,12 +6,14 @@
 // perf drift in the benchmark.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
 
 #include "core/config.hpp"
 #include "core/sim_engine.hpp"
+#include "des/simulator.hpp"
 #include "grid/grid.hpp"
 #include "ode/brusselator.hpp"
 #include "ode/waveform_block.hpp"
@@ -226,6 +228,35 @@ TEST(AllocFreeSimEngine, SteadyStateIterationsBarelyAllocate) {
   EXPECT_LT(early, 0.5) << "allocations per simulated iteration";
   EXPECT_LT(late, 0.5) << "allocations per simulated iteration";
   EXPECT_LE(late, early + 0.05) << "per-iteration allocations grow";
+}
+
+// The event queue on its own: once its array has grown to the deepest
+// queue of the run, scheduling (in and out of order), executing through
+// run_until and step, and cancelling allocate nothing.
+TEST(AllocFreeSimulator, WarmQueueSchedulesAndExecutesWithoutAllocating) {
+  des::Simulator sim;
+  std::array<double, 64> delays{};
+  for (std::size_t i = 0; i < delays.size(); ++i)
+    delays[i] = 0.01 * static_cast<double>((i * 37) % 64);
+  std::size_t next = 0;
+  const auto reschedule = [&](std::uint32_t kind, std::uint32_t arg) {
+    sim.schedule_after(delays[next++ % delays.size()], kind, arg);
+  };
+  for (std::uint32_t i = 0; i < 32; ++i)
+    sim.schedule_at(delays[i], 0, i);
+  sim.run_until(20.0, reschedule);  // warm-up: the array reaches its depth
+
+  const std::uint64_t before = allocs();
+  const std::uint64_t executed = sim.events_executed();
+  sim.run_until(200.0, reschedule);
+  for (int k = 0; k < 1000; ++k) sim.step(reschedule);
+  const des::EventId extra = sim.schedule_after(0.5, 1, 0);
+  const bool cancelled = sim.cancel(extra);
+  const std::uint64_t allocated = allocs() - before;
+  EXPECT_TRUE(cancelled);
+  EXPECT_EQ(sim.pending_events(), 32u);
+  EXPECT_GT(sim.events_executed() - executed, 10000u);
+  EXPECT_EQ(allocated, 0u) << "warm simulator allocated on the heap";
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -162,20 +162,80 @@ INSTANTIATE_TEST_SUITE_P(
 
 // ---------------------------------------------------------------------
 // The simulator executes randomly scheduled events in nondecreasing time
-// order regardless of insertion order.
+// order regardless of insertion order, FIFO among equal times.
 class SimulatorOrdering : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SimulatorOrdering, RandomScheduleExecutesSorted) {
   util::Rng rng(GetParam());
   des::Simulator sim;
-  std::vector<double> executed;
-  for (int i = 0; i < 500; ++i) {
-    const double t = rng.uniform(0.0, 100.0);
-    sim.schedule_at(t, [&executed, t] { executed.push_back(t); });
+  std::vector<double> times;
+  for (std::uint32_t i = 0; i < 500; ++i) {
+    // Coarse times so that ties are common.
+    const double t = std::floor(rng.uniform(0.0, 50.0));
+    times.push_back(t);
+    sim.schedule_at(t, 0, i);
   }
-  sim.run();
+  std::vector<std::uint32_t> executed;
+  sim.run([&](std::uint32_t, std::uint32_t arg) {
+    EXPECT_EQ(sim.now(), times[arg]);
+    executed.push_back(arg);
+  });
   ASSERT_EQ(executed.size(), 500u);
-  EXPECT_TRUE(std::is_sorted(executed.begin(), executed.end()));
+  // The expected order: by time, then by scheduling order.
+  std::vector<std::uint32_t> expected(500);
+  std::iota(expected.begin(), expected.end(), 0u);
+  std::stable_sort(expected.begin(), expected.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return times[a] < times[b];
+                   });
+  EXPECT_EQ(executed, expected);
+}
+
+// Interleaved schedules (from inside handlers), cancels and run_until
+// slices against a reference model: a list kept in (time, sequence)
+// order. Every executed record must be the model's minimum.
+TEST_P(SimulatorOrdering, InterleavedScheduleCancelMatchesReference) {
+  struct Pending {
+    double time;
+    std::uint64_t id;
+    std::uint32_t arg;
+  };
+  util::Rng rng(GetParam() + 100);
+  des::Simulator sim;
+  std::vector<Pending> model;
+  std::uint32_t next_arg = 0;
+  const auto add = [&](double t) {
+    const des::EventId id = sim.schedule_at(t, 0, next_arg);
+    model.push_back({t, id.value, next_arg++});
+  };
+  for (int i = 0; i < 40; ++i) add(std::floor(rng.uniform(0.0, 20.0)));
+  std::size_t mismatches = 0;
+  const auto handler = [&](std::uint32_t, std::uint32_t arg) {
+    const auto head = std::min_element(
+        model.begin(), model.end(), [](const Pending& a, const Pending& b) {
+          return a.time != b.time ? a.time < b.time : a.id < b.id;
+        });
+    if (head == model.end() || head->arg != arg) ++mismatches;
+    if (head != model.end()) model.erase(head);
+    // Hold the depth near the engine's (~30 pending) until 4000 records.
+    const auto spawn = model.size() < 30 ? rng.uniform_int(1, 2)
+                                         : rng.uniform_int(0, 1);
+    for (std::int64_t k = 0; k < spawn && next_arg < 4000; ++k)
+      add(sim.now() + std::floor(rng.uniform(0.0, 8.0)));
+    if (!model.empty() && rng.uniform(0.0, 1.0) < 0.1) {
+      const auto victim =
+          model.begin() +
+          rng.uniform_int(0, static_cast<std::int64_t>(model.size()) - 1);
+      if (!sim.cancel(des::EventId{victim->id})) ++mismatches;
+      model.erase(victim);
+    }
+    if (sim.pending_events() != model.size()) ++mismatches;
+  };
+  for (double slice = 10.0; sim.pending_events() > 0; slice += 10.0)
+    sim.run_until(slice, handler);
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_TRUE(model.empty());
+  EXPECT_GT(sim.events_executed(), 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOrdering,

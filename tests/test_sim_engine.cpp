@@ -294,6 +294,66 @@ TEST(SimEngine, HitsIterationGuardWithoutConvergence) {
   EXPECT_LE(result.iterations_per_processor[0], 21u);
 }
 
+// Event-order golden pin: the outcome of a simulated run is a pure
+// function of the order in which the DES executes its events, so these
+// bitwise values (recorded before the typed event queue replaced the
+// std::function priority queue) fail on any change to the queue's
+// ordering or tie-breaking. Three configurations cover the event kinds:
+// load balancing (migration arrivals) under the oracle, and the two
+// message-based detection protocols (control deliveries, halt notices).
+struct GoldenRun {
+  double execution_time;
+  std::size_t total_iterations;
+  std::size_t data_messages;
+  std::size_t control_messages;
+  std::size_t migrations;
+};
+
+void expect_golden(const EngineResult& r, const GoldenRun& want) {
+  ASSERT_TRUE(r.converged);
+  EXPECT_EQ(r.execution_time, want.execution_time)
+      << std::hexfloat << r.execution_time;
+  EXPECT_EQ(r.total_iterations, want.total_iterations);
+  EXPECT_EQ(r.data_messages, want.data_messages);
+  EXPECT_EQ(r.control_messages, want.control_messages);
+  EXPECT_EQ(r.migrations, want.migrations);
+}
+
+EngineResult golden_run(core::DetectionMode detection, std::uint64_t seed,
+                        ode::LocalSolveMode mode) {
+  const auto system = test_system(32);
+  grid::HeterogeneousGridParams params;
+  params.machines = 4;
+  params.seed = seed;
+  auto g = grid::make_heterogeneous_grid(params);
+  auto config = base_config();
+  config.scheme = Scheme::kAIAC;
+  config.solve_mode = mode;
+  config.load_balancing = true;
+  config.balancer.trigger_period = 4;
+  config.balancer.min_components = 4;
+  config.detection = detection;
+  return core::run_simulated(system, *g, config);
+}
+
+TEST(SimEngineGolden, OracleAiacWithBalancingIsBitwisePinned) {
+  expect_golden(golden_run(core::DetectionMode::kOracle, 99,
+                           ode::LocalSolveMode::kScalarJacobi),
+                {0x1.13a3d70a3d70bp+7, 1170, 2089, 0, 118});
+}
+
+TEST(SimEngineGolden, CoordinatorDetectionIsBitwisePinned) {
+  expect_golden(golden_run(core::DetectionMode::kCoordinator, 123,
+                           ode::LocalSolveMode::kBlockNewton),
+                {0x1.d6bbb5479a1dp+5, 3140, 4098, 4480, 81});
+}
+
+TEST(SimEngineGolden, TokenRingDetectionIsBitwisePinned) {
+  expect_golden(golden_run(core::DetectionMode::kTokenRing, 5,
+                           ode::LocalSolveMode::kBlockNewton),
+                {0x1.0e5775036f88dp+6, 656, 930, 105, 79});
+}
+
 class SchemeMatrix
     : public ::testing::TestWithParam<std::tuple<Scheme, bool>> {};
 
