@@ -11,8 +11,8 @@
 // Absolute nanoseconds are hardware-dependent; the regression guard
 // (`--baseline=FILE`, run by `scripts/ci.sh bench-smoke`) therefore fails
 // only on the hardware-normalized metrics — allocation counts and the
-// speedup ratios of the workspace/chord kernels over the fresh-allocation
-// kernel — plus same-machine ns regressions beyond 25%.
+// speedup ratio of the workspace kernel over the fresh-allocation kernel
+// — plus same-machine ns regressions beyond 25%.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -122,15 +122,33 @@ struct KernelProblem {
   double dt() const { return t_end / static_cast<double>(num_steps); }
 };
 
-/// One waveform outer sweep over the time window with the given options,
-/// using the legacy (workspace-free) entry point. Trajectory rows are the
-/// per-step solutions; the constant-at-y0 start is the waveform-relaxation
-/// initial iterate, so the Newton work per step is what a real first outer
-/// iteration pays.
+/// Times `round` `rounds` times back to back (at most kMaxRounds) and
+/// returns the median round's wall time in seconds, so one round that a
+/// scheduler hiccup slowed does not move the figure. Allocation-free.
+constexpr std::size_t kMaxRounds = 5;
+template <typename Round>
+double median_round_seconds(std::size_t rounds, Round&& round) {
+  std::array<double, kMaxRounds> secs{};
+  rounds = std::clamp<std::size_t>(rounds, 1, kMaxRounds);
+  for (std::size_t k = 0; k < rounds; ++k) {
+    const auto t0 = Clock::now();
+    round();
+    secs[k] = std::chrono::duration<double>(Clock::now() - t0).count();
+  }
+  std::sort(secs.begin(), secs.begin() + static_cast<std::ptrdiff_t>(rounds));
+  return secs[rounds / 2];
+}
+
+/// `repeats` implicit-Euler sweeps of the block over the time window, one
+/// block Newton solve per step through `step_fn`, timed as the median of
+/// kMaxRounds rounds. Every round restarts from the constant-at-y0
+/// waveform-relaxation initial iterate, so the Newton work per step is
+/// what a real first outer iteration pays and every round does the same
+/// work.
 struct SweepStats {
-  double seconds = 0.0;
-  std::uint64_t newton_iterations = 0;
-  std::uint64_t allocations = 0;
+  double seconds = 0.0;                 // one round (median)
+  std::uint64_t newton_iterations = 0;  // over every round
+  std::uint64_t allocations = 0;        // over every round
   std::vector<double> final_state;
 };
 
@@ -150,20 +168,20 @@ SweepStats run_sweep(const KernelProblem& prob, std::size_t repeats,
   std::vector<double> y_next(nb);
   SweepStats stats;
   const std::uint64_t a0 = allocs();
-  const auto t0 = Clock::now();
-  for (std::size_t rep = 0; rep < repeats; ++rep) {
-    for (std::size_t r = 0; r < nb; ++r) y_prev[r] = y0[prob.first + r];
-    for (std::size_t step = 1; step <= prob.num_steps; ++step) {
-      const double t_next = prob.dt() * static_cast<double>(step);
-      // Warm start from the previous time step (the constant initial
-      // waveform iterate provides the ghost values).
-      y_next = y_prev;
-      stats.newton_iterations +=
-          step_fn(prob, y_prev, y_next, ghost_left, ghost_right, t_next);
-      y_prev = y_next;
+  stats.seconds = median_round_seconds(kMaxRounds, [&] {
+    for (std::size_t rep = 0; rep < repeats; ++rep) {
+      for (std::size_t r = 0; r < nb; ++r) y_prev[r] = y0[prob.first + r];
+      for (std::size_t step = 1; step <= prob.num_steps; ++step) {
+        const double t_next = prob.dt() * static_cast<double>(step);
+        // Warm start from the previous time step (the constant initial
+        // waveform iterate provides the ghost values).
+        y_next = y_prev;
+        stats.newton_iterations +=
+            step_fn(prob, y_prev, y_next, ghost_left, ghost_right, t_next);
+        y_prev = y_next;
+      }
     }
-  }
-  stats.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  });
   stats.allocations = allocs() - a0;
   stats.final_state = y_prev;
   return stats;
@@ -308,6 +326,12 @@ int compare_against_baseline(const std::string& baseline_path,
 
 // ---- Sharded waveform sweep ---------------------------------------------
 
+struct SweepBenchStats {
+  double seconds = 0.0;          // one round of `iters` sweeps (median)
+  std::uint64_t allocations = 0;  // over every round
+  std::size_t workers = 0;
+};
+
 /// Times forced full sweeps of a whole-domain WaveformBlock at the given
 /// chunk count, with a worker pool attached when the machine has room
 /// (workers = min(chunks - 1, hardware_concurrency - 1) — the engines'
@@ -317,29 +341,6 @@ int compare_against_baseline(const std::string& baseline_path,
 /// the same re-solve of every step (one block Newton solve per step, or
 /// in scalar mode one converged scalar check per component and step) — a
 /// stable, repeatable workload with zero steady-state allocations.
-/// Times `round` `rounds` times back to back (at most kMaxRounds) and
-/// returns the median round's wall time in seconds, so one round that a
-/// scheduler hiccup slowed does not move the figure. Allocation-free.
-constexpr std::size_t kMaxRounds = 5;
-template <typename Round>
-double median_round_seconds(std::size_t rounds, Round&& round) {
-  std::array<double, kMaxRounds> secs{};
-  rounds = std::clamp<std::size_t>(rounds, 1, kMaxRounds);
-  for (std::size_t k = 0; k < rounds; ++k) {
-    const auto t0 = Clock::now();
-    round();
-    secs[k] = std::chrono::duration<double>(Clock::now() - t0).count();
-  }
-  std::sort(secs.begin(), secs.begin() + static_cast<std::ptrdiff_t>(rounds));
-  return secs[rounds / 2];
-}
-
-struct SweepBenchStats {
-  double seconds = 0.0;          // one round of `iters` sweeps (median)
-  std::uint64_t allocations = 0;  // over every round
-  std::size_t workers = 0;
-};
-
 SweepBenchStats run_waveform_sweeps(
     const KernelProblem& prob, std::size_t chunks, std::size_t iters,
     ode::LocalSolveMode mode = ode::LocalSolveMode::kBlockNewton,
@@ -470,6 +471,8 @@ int main(int argc, char** argv) {
   std::vector<BenchResult> results;
   const double steps_total =
       static_cast<double>(repeats) * static_cast<double>(prob.num_steps);
+  // The block Newton kernels count their work over every timed round.
+  const double steps_all_rounds = steps_total * kMaxRounds;
 
   // -- Kernel 1: legacy entry point, fresh matrix + factorization per
   //    Newton iteration and fresh buffers per call (the pre-workspace
@@ -491,8 +494,9 @@ int main(int argc, char** argv) {
     r.name = "block_newton_fresh";
     r.ns_per_step = fresh.seconds * 1e9 / steps_total;
     r.newton_iterations_per_step =
-        static_cast<double>(fresh.newton_iterations) / steps_total;
-    r.allocs_per_step = static_cast<double>(fresh.allocations) / steps_total;
+        static_cast<double>(fresh.newton_iterations) / steps_all_rounds;
+    r.allocs_per_step =
+        static_cast<double>(fresh.allocations) / steps_all_rounds;
     r.speedup_vs_fresh = 1.0;
     results.push_back(r);
   }
@@ -517,47 +521,14 @@ int main(int argc, char** argv) {
     r.name = "block_newton_workspace";
     r.ns_per_step = sweep.seconds * 1e9 / steps_total;
     r.newton_iterations_per_step =
-        static_cast<double>(sweep.newton_iterations) / steps_total;
-    r.allocs_per_step = static_cast<double>(sweep.allocations) / steps_total;
+        static_cast<double>(sweep.newton_iterations) / steps_all_rounds;
+    r.allocs_per_step =
+        static_cast<double>(sweep.allocations) / steps_all_rounds;
     r.speedup_vs_fresh = fresh.seconds / sweep.seconds;
     results.push_back(r);
     const double drift = max_abs_diff(sweep.final_state, fresh.final_state);
     if (drift > 1e-9) {
       std::cerr << "bench_kernels: workspace kernel diverged from fresh by "
-                << drift << "\n";
-      return 1;
-    }
-  }
-
-  // -- Kernel 3: chord Newton — the factorized Jacobian is reused across
-  //    Newton iterations and time steps until the convergence-rate refresh
-  //    policy triggers.
-  {
-    ode::NewtonWorkspace ws;
-    const auto sweep = run_sweep(
-        prob, repeats,
-        [&ws](const KernelProblem& kp, std::span<const double> y_prev,
-              std::span<double> y_next, std::span<const double> gl,
-              std::span<const double> gr, double t_next) {
-          ode::NewtonOptions opts;
-          opts.tolerance = 1e-10;
-          opts.jacobian_reuse = ode::JacobianReuse::kChordAcrossSteps;
-          const auto r = ode::block_implicit_euler_step(
-              kp.system, kp.first, y_prev, y_next, gl, gr, t_next, kp.dt(),
-              opts, ws);
-          return r.newton_iterations;
-        });
-    BenchResult r;
-    r.name = "block_newton_chord";
-    r.ns_per_step = sweep.seconds * 1e9 / steps_total;
-    r.newton_iterations_per_step =
-        static_cast<double>(sweep.newton_iterations) / steps_total;
-    r.allocs_per_step = static_cast<double>(sweep.allocations) / steps_total;
-    r.speedup_vs_fresh = fresh.seconds / sweep.seconds;
-    results.push_back(r);
-    const double drift = max_abs_diff(sweep.final_state, fresh.final_state);
-    if (drift > 1e-8) {
-      std::cerr << "bench_kernels: chord kernel diverged from fresh by "
                 << drift << "\n";
       return 1;
     }

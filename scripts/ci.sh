@@ -84,10 +84,10 @@ ubsan() {
 
 lint() {
   echo "==> lint: static analysis"
-  cmake -B build -S . >/dev/null   # exports compile_commands.json
+  cmake -B build -S . >/dev/null   # exports compile_commands.json (clang-tidy)
   echo "==> lint: aiac_lint (hot-path / lock / wire invariants)"
   cmake --build build -j"$jobs" --target aiac_lint
-  ./build/tools/aiac_lint --root=. --build=build
+  ./build/tools/aiac_lint --root=.
   local tidy=""
   for candidate in clang-tidy clang-tidy-18 clang-tidy-17 clang-tidy-16 \
                    clang-tidy-15 clang-tidy-14; do

@@ -293,10 +293,18 @@ class ThreadEngine final : public algo::Transport,
   bool node_idle(std::size_t) const override { return false; }
 
   /// Coordinator verification, aligned with the other two backends: a
-  /// node whose migration mailbox is non-empty (or whose adjacent links
-  /// carry an in-flight payload) may not confirm — its convergence
-  /// mirror predates work it is already committed to absorbing. All
-  /// reads are lock-free mirrors; the block lock is never taken here.
+  /// node may not confirm while its migration mailbox is non-empty, while
+  /// an adjacent link carries an in-flight payload, or while a delivered
+  /// but unread boundary update would move its ghost rows by more than
+  /// the tolerance — its convergence mirror predates input it is already
+  /// committed to absorbing. The slots need the check because control is
+  /// drained before they are read: a node woken by a boundary update and a
+  /// verification request together would confirm on the ghosts the update
+  /// replaces.
+  ///
+  /// Runs on the node's own thread (its control closures are drained
+  /// there), the only thread that writes its core, so the ghost rows are
+  /// read without the block lock.
   bool confirm_converged(std::size_t rank) const override {
     const ThreadProc& proc = procs_[rank];
     if (!proc.locally_converged.load()) return false;
@@ -304,7 +312,16 @@ class ThreadEngine final : public algo::Transport,
       return false;
     if (rank > 0 && lb_link_busy_[rank - 1].load()) return false;
     if (rank + 1 < nprocs_ && lb_link_busy_[rank].load()) return false;
-    return true;
+    const ode::WaveformBlock& block = fleet_->core(rank).block();
+    double disturbance = 0.0;
+    proc.from_left.peek([&](const ode::BoundaryMessage& msg) {
+      disturbance = block.ghost_update_disturbance(msg, /*left=*/true);
+    });
+    proc.from_right.peek([&](const ode::BoundaryMessage& msg) {
+      disturbance = std::max(
+          disturbance, block.ghost_update_disturbance(msg, /*left=*/false));
+    });
+    return disturbance <= config_.tolerance;
   }
 
   /// Coordinator/token-ring halt (under detection_mutex_, caller holds no

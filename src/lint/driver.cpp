@@ -2,11 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <set>
-#include <sstream>
-
-#include "lint/clang_backend.hpp"
 
 namespace aiac::lint {
 
@@ -73,63 +68,12 @@ bool check_enabled(const LintConfig& config, const std::string& check) {
 
 }  // namespace
 
-std::vector<std::string> compile_commands_files(const std::string& path) {
-  std::vector<std::string> out;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return out;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  // CMake emits `"file": "<abs path>"`; scan for the key and take the
-  // following JSON string, honoring escapes.
-  const std::string key = "\"file\"";
-  std::size_t pos = 0;
-  while ((pos = text.find(key, pos)) != std::string::npos) {
-    pos += key.size();
-    while (pos < text.size() &&
-           (text[pos] == ' ' || text[pos] == '\t' || text[pos] == ':'))
-      ++pos;
-    if (pos >= text.size() || text[pos] != '"') continue;
-    ++pos;
-    std::string value;
-    while (pos < text.size() && text[pos] != '"') {
-      if (text[pos] == '\\' && pos + 1 < text.size()) {
-        value += text[pos + 1];
-        pos += 2;
-        continue;
-      }
-      value += text[pos++];
-    }
-    out.push_back(std::move(value));
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-bool libclang_available() { return clang_backend_compiled(); }
-
 bool run_lint(const LintConfig& config, LintReport& report) {
   report = LintReport{};
-  report.backend = "token";
 
   // ---- Collect files ---------------------------------------------------
   std::vector<std::string> files = config.files;
-  std::vector<std::string> tu_files;  // absolute, for the clang backend
   if (files.empty()) {
-    if (!config.compile_commands_dir.empty()) {
-      const fs::path json =
-          fs::path(config.compile_commands_dir) / "compile_commands.json";
-      tu_files = compile_commands_files(json.string());
-      if (tu_files.empty()) {
-        report.warnings.push_back(
-            "no usable compile_commands.json under " +
-            config.compile_commands_dir + "; walking the tree instead");
-      }
-    }
-    // The tree walk supplies headers and keeps the scan independent of
-    // which TUs the build configured; compile_commands narrows nothing
-    // here but feeds the clang backend exact flags.
     files = walk_tree(config.root);
     if (files.empty()) {
       report.warnings.push_back("no sources found under " + config.root +
@@ -171,20 +115,7 @@ bool run_lint(const LintConfig& config, LintReport& report) {
     if (config.use_default_registry) alloc.roots = default_hot_registry();
     alloc.roots.insert(alloc.roots.end(), config.hot_roots.begin(),
                        config.hot_roots.end());
-    bool used_clang = false;
-    if (libclang_available() && !tu_files.empty()) {
-      std::vector<Finding> clang_findings;
-      if (clang_check_hot_alloc(tu_files, config.compile_commands_dir,
-                                alloc, clang_findings, report.warnings)) {
-        for (Finding& f : clang_findings) {
-          f.file = relativize(config.root, f.file);
-          raw.push_back(std::move(f));
-        }
-        report.backend = "libclang";
-        used_clang = true;
-      }
-    }
-    if (!used_clang) check_hot_alloc(model, alloc, raw);
+    check_hot_alloc(model, alloc, raw);
   }
   if (check_enabled(config, "lock")) {
     check_lock_discipline(model, LockCheckConfig{}, raw);

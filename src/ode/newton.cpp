@@ -64,10 +64,6 @@ void assemble_factor_solve(const OdeSystem& system, std::size_t first,
       data[r * width + slot] =
           (slot == s ? 1.0 : 0.0) - dt * data[r * width + slot];
   linalg::banded_lu_factor_solve_in_place(ws.jac, ws.rhs);
-  ++ws.factorizations;
-  ws.jac_age = 0;
-  ws.jac_rows = nb;
-  ws.jac_dt = dt;
 }
 
 }  // namespace
@@ -102,21 +98,10 @@ BlockSolveResult block_implicit_euler_step(
         first + nb + g < dim ? ghost_right[g] : 0.0;
   }
 
-  const bool chord = opts.jacobian_reuse != JacobianReuse::kFresh;
-  // A held factorization only survives into this call in the across-steps
-  // mode, and only when it was built for this block shape and step size.
-  if (opts.jacobian_reuse != JacobianReuse::kChordAcrossSteps ||
-      ws.jac_rows != nb || ws.jac_dt != dt)
-    ws.jac_valid = false;
-
   BlockSolveResult result;
-  const std::size_t factorizations_at_entry = ws.factorizations;
-  double prev_update = 0.0;
   for (std::size_t it = 0; it < opts.max_iterations; ++it) {
     // Residual F(w) = w - y_prev - dt f(t_next, w); checked before any
     // factorization so a converged warm start costs one evaluation only.
-    // In chord mode this true-residual check is also what keeps the
-    // stopping decision sound despite the approximate Jacobian.
     std::copy(y_next.begin(), y_next.end(),
               ws.window.begin() + static_cast<std::ptrdiff_t>(s));
     system.rhs_range(first, nb, t_next, ws.window, ws.rhs);
@@ -130,14 +115,7 @@ BlockSolveResult block_implicit_euler_step(
       result.skipped_by_check = it == 0;
       break;
     }
-    // A fresh factorization solves in the same pass; only a chord reuse
-    // of the held factors runs the separate solve.
-    if (!ws.jac_valid || ws.jac_age >= opts.chord_max_age)
-      assemble_factor_solve(system, first, nb, t_next, dt, ws);
-    else
-      linalg::banded_lu_solve_in_place(ws.jac, ws.rhs);
-    ws.jac_valid = true;
-    ++ws.jac_age;
+    assemble_factor_solve(system, first, nb, t_next, dt, ws);
     double update_norm = 0.0;
     for (std::size_t r = 0; r < nb; ++r) {
       y_next[r] += ws.rhs[r];
@@ -149,20 +127,7 @@ BlockSolveResult block_implicit_euler_step(
       result.converged = true;
       break;
     }
-    // Chord refresh policy: when the reused factorization no longer
-    // contracts the update by chord_refresh_rate per iteration, rebuild at
-    // the next iteration. Fresh mode refactorizes unconditionally.
-    if (!chord || (prev_update > 0.0 &&
-                   update_norm > opts.chord_refresh_rate * prev_update))
-      ws.jac_valid = false;
-    prev_update = update_norm;
   }
-  result.factorizations = ws.factorizations - factorizations_at_entry;
-  // Never carry a factorization out of a failed solve or out of a mode
-  // that did not ask for cross-call reuse.
-  if (!result.converged ||
-      opts.jacobian_reuse != JacobianReuse::kChordAcrossSteps)
-    ws.jac_valid = false;
   return result;
 }
 
@@ -173,8 +138,7 @@ BlockSolveResult block_implicit_euler_step(
     const NewtonOptions& opts) {
   // Legacy entry point: a throwaway workspace per call. Still faster than
   // the historical implementation (batched assembly, in-place LU), but the
-  // hot path is the workspace overload; kChordAcrossSteps degrades to
-  // kChord here because nothing survives the call.
+  // hot path is the workspace overload.
   NewtonWorkspace ws;
   return block_implicit_euler_step(system, first, y_prev, y_next, ghost_left,
                                    ghost_right, t_next, dt, opts, ws);

@@ -49,11 +49,6 @@ void WaveformBlock::invalidate_fast_path() {
   fast_path_valid_ = false;
   std::fill(step_solved_.begin(), step_solved_.end(),
             static_cast<std::uint8_t>(0));
-  // Migration changes the block under the solver: drop any chord-Newton
-  // factorization held for the old shape/partition. (The solver would
-  // also notice the size change itself; invalidating here keeps the
-  // contract local.)
-  for (ChunkState& cs : chunks_) cs.ws.invalidate_jacobian();
 }
 
 void WaveformBlock::refresh_ghost_snapshot() {

@@ -233,8 +233,7 @@ class WaveformBlock {
  private:
   // Everything one chunk task needs, hoisted so a steady-state iterate()
   // performs zero heap allocations (the tentpole property the alloc-free
-  // tests pin down): its own Newton workspace (the chord factorization
-  // for its rows, invalidated by migrations), per-step staging buffers,
+  // tests pin down): its own Newton workspace, per-step staging buffers,
   // and the per-sweep outputs the caller reduces in chunk order after
   // the join. Tasks touch only their own ChunkState plus disjoint new_
   // rows, which is the whole data-race argument (DESIGN.md §13).

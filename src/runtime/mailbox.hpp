@@ -129,6 +129,14 @@ class SlotBox {
     return slot_.has_value();
   }
 
+  /// Calls `fn(value)` on the unread value, if any, under the slot lock,
+  /// leaving it in place.
+  template <typename Fn>
+  void peek(Fn&& fn) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (slot_) fn(*slot_);
+  }
+
  private:
   std::optional<T> put_with_faults(T value) {
     const ChannelFault fault = hook_->on_deliver();

@@ -108,38 +108,6 @@ INSTANTIATE_TEST_SUITE_P(
              (std::get<1>(param_info.param) ? "_LB" : "_NoLB");
     });
 
-// Chord Newton is a solver-internal approximation: with the factorization
-// reused across steps and outer iterations, both backends must still land
-// within an order of magnitude of the solver tolerance of their
-// fresh-Jacobian runs (the chord refresh policy bounds the extra error).
-TEST(EngineChordParity, ChordAcrossStepsMatchesFreshNewtonOnBothBackends) {
-  const auto system = test_system();
-  auto config = parity_config();
-  config.scheme = Scheme::kAIAC;
-  config.load_balancing = true;
-
-  auto chord_config = config;
-  chord_config.newton.jacobian_reuse = ode::JacobianReuse::kChordAcrossSteps;
-
-  auto cluster = dedicated_cluster();
-  const auto fresh_sim = core::run_simulated(system, *cluster, config);
-  const auto chord_sim =
-      core::run_simulated(system, *cluster, chord_config);
-  const auto fresh_thr = core::run_threaded(system, kProcessors, config);
-  const auto chord_thr =
-      core::run_threaded(system, kProcessors, chord_config);
-
-  ASSERT_TRUE(fresh_sim.converged);
-  ASSERT_TRUE(chord_sim.converged);
-  ASSERT_TRUE(fresh_thr.converged);
-  ASSERT_TRUE(chord_thr.converged);
-  const double budget = 10 * config.newton.tolerance;
-  EXPECT_LT(chord_sim.solution.max_abs_diff(fresh_sim.solution), budget);
-  EXPECT_LT(chord_thr.solution.max_abs_diff(fresh_thr.solution), budget);
-  // And the two backends agree with each other in chord mode too.
-  EXPECT_LT(chord_sim.solution.max_abs_diff(chord_thr.solution), 1e-4);
-}
-
 class ThreadedDetection : public ::testing::TestWithParam<DetectionMode> {};
 
 TEST_P(ThreadedDetection, ThreadedBackendHonorsProtocolModes) {

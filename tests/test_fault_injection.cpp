@@ -9,6 +9,7 @@
 // (the sanitizer CI jobs run a reduced sweep; see scripts/ci.sh).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <numeric>
 #include <sstream>
@@ -143,6 +144,32 @@ TEST(FaultInjectionProperties, SynchronousSchemesSurviveDelaysAndStalls) {
       ASSERT_TRUE(result.converged);
       EXPECT_LT(result.solution.max_abs_diff(reference), 1e-4);
     }
+  }
+}
+
+// Coordinator detection over real threads: a node woken by a boundary
+// update and a verification request together must not confirm on the
+// ghosts the update is about to replace. Long compute stalls leave nodes
+// idle on stale data while their neighbors catch up, which is when that
+// race opens; a confirm that ignores the unread boundary slots halts
+// early in about one seed in six here.
+TEST(FaultInjectionProperties, CoordinatorNeverConfirmsOverUnreadBoundaryData) {
+  const auto system = chaos_system();
+  auto base = chaos_config();
+  base.detection = core::DetectionMode::kCoordinator;
+  base.load_balancing = false;
+  base.faults.max_stall_ms = 20.0;
+  const auto reference = reference_solution(system, base);
+  const std::size_t seeds = std::min<std::size_t>(chaos_seed_count(), 32);
+  for (std::size_t seed = 0; seed < seeds; ++seed) {
+    auto config = base;
+    config.faults.seed = seed;
+    config.faults.intensity = 0.5 + 0.5 * static_cast<double>(seed % 4);
+    const auto result = core::run_threaded(system, 4, config);
+    SCOPED_TRACE("chaos seed " + std::to_string(seed));
+    ASSERT_TRUE(result.converged);
+    EXPECT_LE(result.detection_gap, config.tolerance);
+    EXPECT_LT(result.solution.max_abs_diff(reference), 1e-4);
   }
 }
 
